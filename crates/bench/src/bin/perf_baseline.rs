@@ -4,9 +4,8 @@
 //! solver plans/sec (optimised vs. the retained straightforward
 //! reference), single-session wall time, and the quick-matrix sweep wall
 //! time at 1 and N threads — and writes them to `BENCH_perf.json` at the
-//! repo root and `results/bench_perf.json` (same bytes, written by this
-//! binary so the two can never drift), so the perf trajectory is
-//! machine-tracked from PR 4 onward. Speedups are computed against the
+//! repo root, the one copy, so the perf trajectory is machine-tracked
+//! from PR 4 onward. Speedups are computed against the
 //! pinned seed-sequential figures measured immediately before the first
 //! optimisation landed.
 //!
@@ -42,12 +41,12 @@ use ee360_abr::plan::SegmentContext;
 use ee360_abr::reference::solve_reference;
 use ee360_abr::robust::{RobustMpcController, POINT_SLACK_DEG};
 use ee360_cluster::ptile::PtileConfig;
-use ee360_core::client::{run_session, run_session_resilient_with, SessionSetup};
+use ee360_core::client::{run_session, run_session_traced, SessionSetup};
 use ee360_core::experiment::{Evaluation, ExperimentConfig};
 use ee360_core::parallel::{default_threads, run_matrix};
 use ee360_core::server::VideoServer;
 use ee360_geom::grid::TileGrid;
-use ee360_obs::{Level, Recorder, TelemetryConfig};
+use ee360_obs::{Level, NoopRecorder, Recorder, TelemetryConfig};
 use ee360_power::model::Phone;
 use ee360_sim::fleet::{run_scale_fleet, run_scale_fleet_telemetry, FleetConfig};
 use ee360_sim::resilience::RetryPolicy;
@@ -273,11 +272,12 @@ fn main() {
         let faults =
             FaultPlan::generate(FaultConfig::chaos_default(), 400.0, 77).and_outage(30.0, 8.0);
         let mut session_ctrl = RobustMpcController::paper_default();
-        let metrics = run_session_resilient_with(
+        let metrics = run_session_traced(
             &mut session_ctrl,
             &setup,
             &faults,
             &RetryPolicy::default_mobile(),
+            &mut NoopRecorder,
         );
         let stats = session_ctrl
             .robust_stats()
@@ -412,7 +412,7 @@ fn main() {
         &fleet_config,
         &fleet_network,
         &fleet_faults,
-        &mut ee360_obs::NoopRecorder,
+        &mut NoopRecorder,
     );
     let fleet_sec = t.elapsed().as_secs_f64();
     let fleet_sessions_per_sec = fleet_sessions as f64 / fleet_sec;
@@ -661,9 +661,7 @@ fn main() {
 
     let text = to_string_pretty(&report).expect("report serialises");
     std::fs::write("BENCH_perf.json", &text).expect("write BENCH_perf.json");
-    std::fs::create_dir_all("results").expect("create results/");
-    std::fs::write("results/bench_perf.json", &text).expect("write results/bench_perf.json");
-    println!("wrote BENCH_perf.json + results/bench_perf.json");
+    println!("wrote BENCH_perf.json");
 
     if gate {
         // Gate on the median per-alternation speedup over the seed

@@ -25,9 +25,10 @@
 use ee360_abr::controller::{Controller, RobustStats, Scheme};
 use ee360_abr::robust::RobustMpcController;
 use ee360_cluster::ptile::PtileConfig;
-use ee360_core::client::{run_session, run_session_resilient_with, SessionSetup};
+use ee360_core::client::{run_session, run_session_traced, SessionSetup};
 use ee360_core::server::VideoServer;
 use ee360_geom::grid::TileGrid;
+use ee360_obs::NoopRecorder;
 use ee360_power::model::Phone;
 use ee360_sim::metrics::SessionMetrics;
 use ee360_sim::resilience::RetryPolicy;
@@ -107,11 +108,12 @@ fn setup<'a>(fixture: &'a Fixture, network: &'a NetworkTrace) -> SessionSetup<'a
 /// controller, so the cell can report its uncertainty accounting.
 fn run_robust(s: &SessionSetup) -> (SessionMetrics, RobustStats) {
     let mut controller = RobustMpcController::paper_default();
-    let metrics = run_session_resilient_with(
+    let metrics = run_session_traced(
         &mut controller,
         s,
         &FaultPlan::none(),
         &RetryPolicy::disabled(),
+        &mut NoopRecorder,
     );
     let stats = controller
         .robust_stats()

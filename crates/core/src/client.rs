@@ -17,7 +17,15 @@
 //! (plan → step → book) so the event-driven fleet engine
 //! ([`crate::fleet`]) can interleave many sessions on one event queue
 //! while executing the very same statements as the classic loop —
-//! [`run_session_traced`] is the runner driven in a tight loop.
+//! [`run_session_traced`] is the runner driven in a tight loop. Every
+//! download goes through the runner's [`SessionCore`], the simulator's
+//! one download path; the benign world is a fault plan with no faults
+//! and the wait-forever retry policy.
+//!
+//! Entry points: [`run_session_traced`] takes any controller, fault
+//! plan, retry policy and recorder. [`run_session`] (the benign world)
+//! and [`run_session_resilient`] (a fault plan) are shorthands for the
+//! scheme's standard controller with nothing recorded.
 
 use ee360_abr::baselines::RateBasedController;
 use ee360_abr::controller::{Controller, Scheme};
@@ -37,9 +45,11 @@ use ee360_predict::viewport::ViewportPredictor;
 use ee360_qoe::framerate::{alpha, framerate_factor};
 use ee360_qoe::impairment::{QoeWeights, SegmentQoe};
 use ee360_qoe::quality::QoModel;
-use ee360_sim::metrics::{SegmentRecord, SessionMetrics};
-use ee360_sim::resilience::{DownloadOutcome, DownloadState, ResilientSession, RetryPolicy};
-use ee360_sim::session::SegmentTiming;
+use ee360_sim::decoder::DecoderPipeline;
+use ee360_sim::metrics::{SegmentRecord, SegmentTiming, SessionMetrics};
+use ee360_sim::resilience::{
+    DownloadEnv, DownloadOutcome, DownloadState, RetryPolicy, SessionCore,
+};
 use ee360_trace::fault::FaultPlan;
 use ee360_trace::head::HeadTrace;
 use ee360_trace::network::NetworkTrace;
@@ -105,31 +115,15 @@ fn overlap_fraction(
     ee360_geom::projection::pixel_coverage(actual, region, grid, 16)
 }
 
-/// Runs one complete session with the scheme's standard controller.
+/// Runs one complete session in the paper's benign world (no faults, the
+/// wait-forever [`RetryPolicy::disabled`]) with the scheme's standard
+/// controller.
 ///
 /// # Panics
 ///
 /// Panics if the user's trace belongs to a different video than the server.
 pub fn run_session(scheme: Scheme, setup: &SessionSetup) -> SessionMetrics {
-    let mut controller = make_controller(scheme, setup.phone);
-    run_session_with(controller.as_mut(), setup)
-}
-
-/// Runs one complete session with a caller-supplied controller (used by the
-/// ablation benches: custom ε, custom frame-rate ladder, …).
-///
-/// # Panics
-///
-/// Panics if the user's trace belongs to a different video than the server.
-pub fn run_session_with(controller: &mut dyn Controller, setup: &SessionSetup) -> SessionMetrics {
-    // The benign path is the resilient loop with no faults scheduled and
-    // the wait-forever legacy policy: behaviourally identical to the seed.
-    run_session_resilient_with(
-        controller,
-        setup,
-        &FaultPlan::none(),
-        &RetryPolicy::disabled(),
-    )
+    run_session_resilient(scheme, setup, &FaultPlan::none(), &RetryPolicy::disabled())
 }
 
 /// Runs one complete session under a fault plan with the scheme's standard
@@ -141,7 +135,8 @@ pub fn run_session_with(controller: &mut dyn Controller, setup: &SessionSetup) -
 ///
 /// # Panics
 ///
-/// Panics if the user's trace belongs to a different video than the server.
+/// Panics if the user's trace belongs to a different video than the
+/// server, or the policy is malformed.
 pub fn run_session_resilient(
     scheme: Scheme,
     setup: &SessionSetup,
@@ -149,41 +144,18 @@ pub fn run_session_resilient(
     policy: &RetryPolicy,
 ) -> SessionMetrics {
     let mut controller = make_controller(scheme, setup.phone);
-    run_session_resilient_with(controller.as_mut(), setup, faults, policy)
+    run_session_traced(
+        controller.as_mut(),
+        setup,
+        faults,
+        policy,
+        &mut NoopRecorder,
+    )
 }
 
-/// [`run_session_resilient`] with the scheme's standard controller and a
-/// live recorder — see [`run_session_traced`] for the recording contract.
-///
-/// # Panics
-///
-/// Panics if the user's trace belongs to a different video than the server.
-pub fn run_session_resilient_traced(
-    scheme: Scheme,
-    setup: &SessionSetup,
-    faults: &FaultPlan,
-    policy: &RetryPolicy,
-    rec: &mut dyn Record,
-) -> SessionMetrics {
-    let mut controller = make_controller(scheme, setup.phone);
-    run_session_traced(controller.as_mut(), setup, faults, policy, rec)
-}
-
-/// [`run_session_resilient`] with a caller-supplied controller.
-///
-/// # Panics
-///
-/// Panics if the user's trace belongs to a different video than the server.
-pub fn run_session_resilient_with(
-    controller: &mut dyn Controller,
-    setup: &SessionSetup,
-    faults: &FaultPlan,
-    policy: &RetryPolicy,
-) -> SessionMetrics {
-    run_session_traced(controller, setup, faults, policy, &mut NoopRecorder)
-}
-
-/// [`run_session_resilient_with`] with observability: every controller
+/// Runs one complete session with a caller-supplied controller (the
+/// ablation benches pass custom ε, custom frame-rate ladders, …) under a
+/// fault plan and retry policy, recording into `rec`: every controller
 /// decision, download outcome, stall and energy booking is mirrored into
 /// `rec` as typed events, `session.*`/`energy.*`/`mpc.*` metrics and
 /// (when [`Record::profiling`] is on) wall-clock stage timings.
@@ -198,7 +170,8 @@ pub fn run_session_resilient_with(
 ///
 /// # Panics
 ///
-/// Panics if the user's trace belongs to a different video than the server.
+/// Panics if the user's trace belongs to a different video than the
+/// server, or the policy is malformed.
 pub fn run_session_traced(
     controller: &mut dyn Controller,
     setup: &SessionSetup,
@@ -245,13 +218,16 @@ struct PendingDownload {
 /// why their outputs are bit-identical.
 pub struct SessionRunner<'a> {
     setup: SessionSetup<'a>,
+    faults: &'a FaultPlan,
+    policy: RetryPolicy,
+    decoder: DecoderPipeline,
     scheme: Scheme,
     power: PowerModel,
     qo_model: QoModel,
     weights: QoeWeights,
     predictor: ViewportPredictor,
     bw_estimator: HarmonicMeanEstimator,
-    session: ResilientSession,
+    core: SessionCore,
     metrics: SessionMetrics,
     grid: TileGrid,
     horizon: usize,
@@ -273,16 +249,18 @@ pub struct SessionRunner<'a> {
 
 impl<'a> SessionRunner<'a> {
     /// Builds the runner (controller state lives outside, passed to each
-    /// phase, so one driver can own both without self-references).
+    /// phase, so one driver can own both without self-references). The
+    /// network trace and fault plan stay borrowed: a fleet of runners
+    /// shares one copy of each.
     ///
     /// # Panics
     ///
     /// Panics if the user's trace belongs to a different video than the
-    /// server.
+    /// server, or the policy is malformed ([`RetryPolicy::validate`]).
     pub fn new(
         scheme: Scheme,
         setup: &SessionSetup<'a>,
-        faults: &FaultPlan,
+        faults: &'a FaultPlan,
         policy: &RetryPolicy,
     ) -> Self {
         assert_eq!(
@@ -290,7 +268,7 @@ impl<'a> SessionRunner<'a> {
             setup.server.video_id(),
             "user trace and server must describe the same video"
         );
-        let session = ResilientSession::new(setup.network.clone(), faults.clone(), *policy, 3.0);
+        policy.validate();
         let horizon = 5usize;
         let n = setup
             .max_segments
@@ -301,13 +279,16 @@ impl<'a> SessionRunner<'a> {
             ee360_abr::sizer::SchemeSizer::paper_default().effective_bitrate_mbps(QualityLevel::Q1);
         Self {
             setup: *setup,
+            faults,
+            policy: *policy,
+            decoder: DecoderPipeline::paper_default(),
             scheme,
             power: PowerModel::for_phone(setup.phone),
             qo_model: QoModel::paper_default(),
             weights: QoeWeights::paper_default(),
             predictor: ViewportPredictor::paper_default(),
             bw_estimator: HarmonicMeanEstimator::paper_default(),
-            session,
+            core: SessionCore::new(3.0),
             metrics: SessionMetrics::new(),
             grid: *setup.server.grid(),
             horizon,
@@ -330,11 +311,12 @@ impl<'a> SessionRunner<'a> {
     /// with the time (and radio energy) burned.
     pub fn start(&mut self, rec: &mut dyn Record) {
         let metadata_bits = 128_000.0 * self.horizon as f64;
-        rec.span_open("session", self.session.clock_sec());
-        rec.span_open("startup", self.session.clock_sec());
-        let clock_before_metadata = self.session.clock_sec();
-        let _ = self.session.fetch_metadata_traced(metadata_bits, rec);
-        let metadata_sec = self.session.clock_sec() - clock_before_metadata;
+        rec.span_open("session", self.core.clock_sec());
+        rec.span_open("startup", self.core.clock_sec());
+        let clock_before_metadata = self.core.clock_sec();
+        let (env, core) = self.download_parts();
+        let _ = core.fetch_metadata_traced(&env, metadata_bits, rec);
+        let metadata_sec = self.core.clock_sec() - clock_before_metadata;
         let startup_energy_mj = self.power.transmission_power_mw() * metadata_sec;
         self.metrics.set_startup(ee360_sim::metrics::StartupRecord {
             bits: metadata_bits,
@@ -346,15 +328,27 @@ impl<'a> SessionRunner<'a> {
         // the histogram sum bit-identical to that aggregate.
         rec.observe_at(
             "energy.transmission_mj",
-            self.session.clock_sec(),
+            self.core.clock_sec(),
             startup_energy_mj,
         );
-        rec.span_close(self.session.clock_sec());
+        rec.span_close(self.core.clock_sec());
+    }
+
+    /// The borrowed download inputs next to the mutable core they drive.
+    fn download_parts(&mut self) -> (DownloadEnv<'_>, &mut SessionCore) {
+        let env = DownloadEnv {
+            network: self.setup.network,
+            plan: self.faults,
+            policy: &self.policy,
+            decoder: &self.decoder,
+            fault_base: 0,
+        };
+        (env, &mut self.core)
     }
 
     /// Current wall-clock time of the underlying session, seconds.
     pub fn clock_sec(&self) -> f64 {
-        self.session.clock_sec()
+        self.core.clock_sec()
     }
 
     /// Index of the segment currently planned or about to be planned.
@@ -390,7 +384,7 @@ impl<'a> SessionRunner<'a> {
             return false;
         }
         let k = self.k;
-        let buffer = self.session.buffer_level_sec();
+        let buffer = self.core.buffer_level_sec();
         let samples = self.setup.user.switching_samples();
         let timeline = self.setup.server.timeline();
         // --- 1. viewport prediction from the playback-time history -----
@@ -469,7 +463,7 @@ impl<'a> SessionRunner<'a> {
             ftile_fov_area,
             ftile_fov_tiles,
         };
-        rec.span_open("segment", self.session.clock_sec());
+        rec.span_open("segment", self.core.clock_sec());
         let stats_before = controller.solver_stats();
         let robust_before = controller.robust_stats();
         let solver_timer = StageTimer::start(rec.profiling());
@@ -492,7 +486,7 @@ impl<'a> SessionRunner<'a> {
             .unwrap_or(0.0);
         if rec.level() >= Level::Summary {
             if let Some(delta) = &robust_delta {
-                let t_plan = self.session.clock_sec();
+                let t_plan = self.core.clock_sec();
                 rec.count_at("robust.margin_applied", t_plan, delta.margin_applied);
                 rec.count_at("robust.widened_plans", t_plan, delta.widened_plans);
                 if delta.widened_plans > 0 {
@@ -520,7 +514,7 @@ impl<'a> SessionRunner<'a> {
             rec.count("mpc.states_expanded", delta.states_expanded);
             rec.record(Event::SolverPlan {
                 segment: k,
-                t_sec: self.session.clock_sec(),
+                t_sec: self.core.clock_sec(),
                 quality: plan.quality.index(),
                 fps: plan.fps,
                 bits: plan.bits,
@@ -538,7 +532,8 @@ impl<'a> SessionRunner<'a> {
         rung_plans.clear();
         rung_plans.push(plan);
         let download_timer = StageTimer::start(rec.profiling());
-        let st = self.session.begin_download(k);
+        let (env, core) = self.download_parts();
+        let st = core.begin_download(&env, k);
         self.pending = Some(PendingDownload {
             ctx,
             plan,
@@ -583,7 +578,8 @@ impl<'a> SessionRunner<'a> {
                 }
                 rung_plans[rung].bits
             };
-            self.session.step_download(st, &mut request, rec)
+            let (env, core) = self.download_parts();
+            core.step_download(&env, st, &mut request, rec)
         };
         let Some(outcome) = stepped else {
             // Still in flight: put the download back and wait for the
@@ -654,7 +650,7 @@ impl<'a> SessionRunner<'a> {
                     throughput_bps: 0.0,
                     buffer_at_request_sec: (buffer - wait_sec).max(0.0),
                     stall_sec: (blackout_sec - SEGMENT_DURATION_SEC).max(0.0),
-                    buffer_after_sec: self.session.buffer_level_sec(),
+                    buffer_after_sec: self.core.buffer_level_sec(),
                 };
                 let energy = SegmentEnergy {
                     transmission_mj: self.power.transmission_power_mw() * elapsed_sec,
@@ -669,7 +665,7 @@ impl<'a> SessionRunner<'a> {
                     timing.buffer_at_request_sec,
                 );
                 self.prev_qo = Some(0.0);
-                let t_book = self.session.clock_sec();
+                let t_book = self.core.clock_sec();
                 rec.observe_at("session.stall_sec", t_book, timing.stall_sec);
                 rec.observe_at("energy.transmission_mj", t_book, energy.transmission_mj);
                 rec.observe_at("energy.decode_mj", t_book, energy.decode_mj);
@@ -678,7 +674,7 @@ impl<'a> SessionRunner<'a> {
                     if timing.stall_sec > 0.0 {
                         rec.record(Event::Stall {
                             segment: k,
-                            t_sec: self.session.clock_sec(),
+                            t_sec: self.core.clock_sec(),
                             duration_sec: timing.stall_sec,
                         });
                     }
@@ -700,7 +696,7 @@ impl<'a> SessionRunner<'a> {
                     energy,
                     qoe,
                 });
-                rec.span_close(self.session.clock_sec());
+                rec.span_close(self.core.clock_sec());
                 self.reclaim_pending(pending);
                 return;
             }
@@ -732,7 +728,7 @@ impl<'a> SessionRunner<'a> {
             if let (Some(before), Some(after)) = (robust_before, controller.robust_stats()) {
                 rec.count_at(
                     "robust.coverage_miss_saved",
-                    self.session.clock_sec(),
+                    self.core.clock_sec(),
                     after.since(&before).coverage_miss_saved,
                 );
             }
@@ -811,7 +807,7 @@ impl<'a> SessionRunner<'a> {
             rec.observe("profile.booking_wall_sec", dt);
         }
 
-        let t_book = self.session.clock_sec();
+        let t_book = self.core.clock_sec();
         rec.observe_at("session.stall_sec", t_book, timing.stall_sec);
         rec.observe_at("energy.transmission_mj", t_book, energy.transmission_mj);
         rec.observe_at("energy.decode_mj", t_book, energy.decode_mj);
@@ -820,7 +816,7 @@ impl<'a> SessionRunner<'a> {
             if timing.stall_sec > 0.0 {
                 rec.record(Event::Stall {
                     segment: k,
-                    t_sec: self.session.clock_sec(),
+                    t_sec: self.core.clock_sec(),
                     duration_sec: timing.stall_sec,
                 });
             }
@@ -828,7 +824,7 @@ impl<'a> SessionRunner<'a> {
                 if prev != used_plan.decode_scheme {
                     rec.record(Event::DecoderSwitch {
                         segment: k,
-                        t_sec: self.session.clock_sec(),
+                        t_sec: self.core.clock_sec(),
                         from: format!("{prev:?}"),
                         to: format!("{:?}", used_plan.decode_scheme),
                     });
@@ -854,16 +850,16 @@ impl<'a> SessionRunner<'a> {
             energy,
             qoe,
         });
-        rec.span_close(self.session.clock_sec());
+        rec.span_close(self.core.clock_sec());
         self.reclaim_pending(pending);
     }
 
     /// Seals the session: stamps the resilience counters, records the
     /// final gauges, closes the session span and returns the metrics.
     pub fn finish(mut self, rec: &mut dyn Record) -> SessionMetrics {
-        self.metrics.set_resilience(*self.session.counters());
+        self.metrics.set_resilience(*self.core.counters());
         rec.set_gauge("session.segments", self.metrics.len() as f64);
-        rec.span_close(self.session.clock_sec());
+        rec.span_close(self.core.clock_sec());
         self.metrics
     }
 }
@@ -1079,6 +1075,25 @@ mod tests {
         for rec in m.records() {
             assert!(rec.qoe.q_o >= 0.0 && rec.qoe.q_o <= 100.0);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "attempt timeout must be positive")]
+    fn zero_timeout_policy_is_rejected_at_construction() {
+        let (server, traces, network) = setup_video(2, 8, 5);
+        let setup = SessionSetup {
+            server: &server,
+            user: traces.traces().last().unwrap(),
+            network: &network,
+            phone: Phone::Pixel3,
+            max_segments: Some(5),
+        };
+        let policy = RetryPolicy {
+            attempt_timeout_sec: 0.0,
+            ..RetryPolicy::default_mobile()
+        };
+        let faults = FaultPlan::none();
+        let _ = SessionRunner::new(Scheme::Ptile, &setup, &faults, &policy);
     }
 
     #[test]

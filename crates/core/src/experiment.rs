@@ -16,7 +16,7 @@ use ee360_trace::head::{GazeConfig, HeadTrace};
 use ee360_trace::network::NetworkTrace;
 use ee360_video::catalog::{VideoCatalog, VideoSpec};
 
-use crate::client::{run_session, run_session_resilient_traced, SessionSetup};
+use crate::client::{make_controller, run_session, run_session_traced, SessionSetup};
 use crate::server::VideoServer;
 
 /// Experiment-wide knobs.
@@ -312,6 +312,36 @@ impl Evaluation {
         &self.network
     }
 
+    /// The prepared server and evaluation users of a video, plus the
+    /// builder of their [`SessionSetup`]s — the one place a session's
+    /// inputs are assembled from this evaluation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the video was not prepared.
+    pub(crate) fn user_setups<'a>(
+        &'a self,
+        video_id: usize,
+    ) -> (
+        &'a [HeadTrace],
+        impl Fn(usize) -> SessionSetup<'a> + Sync + 'a,
+    ) {
+        let server = self
+            .servers
+            .get(&video_id)
+            // lint:allow(no-panic-paths, "documented panic: sessions require a prepared video")
+            .unwrap_or_else(|| panic!("video {video_id} was not prepared"));
+        let users = self.eval_users(video_id);
+        let setup = move |user: usize| SessionSetup {
+            server,
+            user: &users[user],
+            network: &self.network,
+            phone: self.config.phone,
+            max_segments: self.config.max_segments,
+        };
+        (users, setup)
+    }
+
     /// Runs one (video, scheme) cell over all evaluation users, fanning
     /// sessions across [`Self::session_threads`] workers. Sessions share
     /// nothing mutable and land in user order, so the outcome matches the
@@ -321,24 +351,10 @@ impl Evaluation {
     ///
     /// Panics if the video was not prepared.
     pub fn run(&self, video_id: usize, scheme: Scheme) -> SchemeOutcome {
-        let server = self
-            .servers
-            .get(&video_id)
-            // lint:allow(no-panic-paths, "documented panic: run() requires a prepared video")
-            .unwrap_or_else(|| panic!("video {video_id} was not prepared"));
-        let users = self.eval_users(video_id);
+        let (users, setup) = self.user_setups(video_id);
         let sessions: Vec<SessionMetrics> =
             parallel_map_indexed(self.session_threads, users.len(), |i| {
-                run_session(
-                    scheme,
-                    &SessionSetup {
-                        server,
-                        user: &users[i],
-                        network: &self.network,
-                        phone: self.config.phone,
-                        max_segments: self.config.max_segments,
-                    },
-                )
+                run_session(scheme, &setup(i))
             });
         SchemeOutcome::from_sessions(scheme, video_id, &sessions)
     }
@@ -363,12 +379,7 @@ impl Evaluation {
         policy: &RetryPolicy,
         rec: &mut Recorder,
     ) -> SchemeOutcome {
-        let server = self
-            .servers
-            .get(&video_id)
-            // lint:allow(no-panic-paths, "documented panic: run_traced() requires a prepared video")
-            .unwrap_or_else(|| panic!("video {video_id} was not prepared"));
-        let users = self.eval_users(video_id);
+        let (users, setup) = self.user_setups(video_id);
         let level = rec.level();
         let profiling = rec.profiling();
         let window_sec = rec.windows().map_or(0.0, |w| w.window_sec());
@@ -377,15 +388,11 @@ impl Evaluation {
                 let mut session_rec = Recorder::new(level)
                     .with_profiling(profiling)
                     .with_windows(window_sec);
-                let metrics = run_session_resilient_traced(
-                    scheme,
-                    &SessionSetup {
-                        server,
-                        user: &users[i],
-                        network: &self.network,
-                        phone: self.config.phone,
-                        max_segments: self.config.max_segments,
-                    },
+                let setup = setup(i);
+                let mut controller = make_controller(scheme, setup.phone);
+                let metrics = run_session_traced(
+                    controller.as_mut(),
+                    &setup,
                     faults,
                     policy,
                     &mut session_rec,
@@ -394,12 +401,7 @@ impl Evaluation {
             });
         let mut sessions = Vec::with_capacity(results.len());
         for (metrics, session_rec) in results {
-            rec.count("experiment.sessions", 1);
-            rec.merge_registry(session_rec.registry());
-            rec.merge_windows(session_rec.windows());
-            for event in session_rec.events() {
-                rec.record(event.clone());
-            }
+            merge_session_recorder(rec, &session_rec);
             sessions.push(metrics);
         }
         SchemeOutcome::from_sessions(scheme, video_id, &sessions)
@@ -413,49 +415,8 @@ impl Evaluation {
     ///
     /// Panics if the video was not prepared or `user` is out of range.
     pub fn run_user(&self, video_id: usize, scheme: Scheme, user: usize) -> SessionMetrics {
-        let server = self
-            .servers
-            .get(&video_id)
-            // lint:allow(no-panic-paths, "documented panic: run_user() requires a prepared video")
-            .unwrap_or_else(|| panic!("video {video_id} was not prepared"));
-        let users = self.eval_users(video_id);
-        run_session(
-            scheme,
-            &SessionSetup {
-                server,
-                user: &users[user],
-                network: &self.network,
-                phone: self.config.phone,
-                max_segments: self.config.max_segments,
-            },
-        )
-    }
-
-    /// [`Self::run_traced`] on the event-driven fleet engine of
-    /// [`crate::fleet`]: same sessions, same recorder merge order, same
-    /// bytes out — but driven from one logical-time queue sharded across
-    /// [`Self::session_threads`] workers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the video was not prepared.
-    pub fn run_fleet_traced(
-        &self,
-        video_id: usize,
-        scheme: Scheme,
-        faults: &FaultPlan,
-        policy: &RetryPolicy,
-        rec: &mut Recorder,
-    ) -> SchemeOutcome {
-        crate::fleet::run_fleet_traced(
-            self,
-            video_id,
-            scheme,
-            faults,
-            policy,
-            self.session_threads,
-            rec,
-        )
+        let (_, setup) = self.user_setups(video_id);
+        run_session(scheme, &setup(user))
     }
 
     /// Runs every scheme for one video.
@@ -466,6 +427,18 @@ impl Evaluation {
     /// The catalog backing this evaluation.
     pub fn catalog(&self) -> &VideoCatalog {
         &self.catalog
+    }
+}
+
+/// Folds one session's private recorder into the cell recorder: the
+/// merge sequence both engines apply in user-index order, so their
+/// merged reports match byte for byte.
+pub(crate) fn merge_session_recorder(rec: &mut Recorder, session: &Recorder) {
+    rec.count("experiment.sessions", 1);
+    rec.merge_registry(session.registry());
+    rec.merge_windows(session.windows());
+    for event in session.events() {
+        rec.record(event.clone());
     }
 }
 

@@ -2,12 +2,15 @@
 //!
 //! [`crate::experiment::Evaluation::run_traced`] runs each evaluation
 //! user as one closed loop. This module drives the *same* sessions —
-//! controller, predictor, resilient download, energy/QoE booking and
-//! per-session recorder, all via [`SessionRunner`] — on the
+//! controller, predictor, download, energy/QoE booking and per-session
+//! recorder, all via [`SessionRunner`] and its
+//! [`SessionCore`](ee360_sim::resilience::SessionCore) — on the
 //! discrete-event engine of [`ee360_sim::fleet`] instead: each session
 //! becomes a [`FleetSessionDriver`] reacting to replan /
 //! download-complete / fault-fire events on a shared logical-time queue,
-//! sharded deterministically across the worker pool.
+//! sharded deterministically across the worker pool. Every runner
+//! borrows the evaluation's one network trace and the caller's one fault
+//! plan; nothing per session is cloned.
 //!
 //! Because every event handler calls the same [`SessionRunner`] phase
 //! the loop engine would call next, and sessions share nothing mutable,
@@ -16,6 +19,8 @@
 //! `tests/fleet_equivalence.rs` pins across the paper matrix. Recorders
 //! are merged into the caller's in user-index order, exactly as
 //! `run_traced` does, so the merged obs report bytes match too.
+//! [`fleet_sessions_traced`] returns the per-session metrics;
+//! [`run_fleet_traced`] folds them into the cell's [`SchemeOutcome`].
 
 use ee360_abr::controller::Scheme;
 use ee360_obs::{Record, Recorder};
@@ -28,7 +33,7 @@ use ee360_trace::fault::FaultPlan;
 use ee360_video::segment::SEGMENT_DURATION_SEC;
 
 use crate::client::{make_controller, SessionRunner, SessionSetup};
-use crate::experiment::{Evaluation, SchemeOutcome};
+use crate::experiment::{merge_session_recorder, Evaluation, SchemeOutcome};
 
 /// One full paper session as an event-queue driver: the boxed
 /// controller, the phase-decomposed [`SessionRunner`], and the session's
@@ -43,32 +48,21 @@ pub struct FleetSessionDriver<'a> {
 
 impl<'a> FleetSessionDriver<'a> {
     /// Builds the driver for one user with the scheme's standard
-    /// controller and a fresh recorder (level/profiling as given).
+    /// controller and a fresh recorder (level and profiling as given;
+    /// logical-time windows of `window_sec`, or none when
+    /// `window_sec <= 0`). The per-session windows merge into the
+    /// caller's recorder in user-index order, mirroring the registry
+    /// merge.
     ///
     /// # Panics
     ///
     /// Panics if the user's trace belongs to a different video than the
-    /// server.
+    /// server, or the policy is malformed.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         scheme: Scheme,
         setup: &SessionSetup<'a>,
-        faults: &FaultPlan,
-        policy: &RetryPolicy,
-        level: ee360_obs::Level,
-        profiling: bool,
-    ) -> Self {
-        Self::with_windows(scheme, setup, faults, policy, level, profiling, 0.0)
-    }
-
-    /// [`FleetSessionDriver::new`] with logical-time windowing enabled
-    /// on the session's private recorder (`window_sec <= 0` leaves it
-    /// off). The per-session windows merge into the caller's recorder
-    /// in user-index order, mirroring the registry merge.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_windows(
-        scheme: Scheme,
-        setup: &SessionSetup<'a>,
-        faults: &FaultPlan,
+        faults: &'a FaultPlan,
         policy: &RetryPolicy,
         level: ee360_obs::Level,
         profiling: bool,
@@ -175,11 +169,7 @@ pub fn fleet_sessions_traced(
     threads: usize,
     rec: &mut Recorder,
 ) -> (Vec<SessionMetrics>, EngineStats) {
-    let server = eval
-        .server(video_id)
-        // lint:allow(no-panic-paths, "documented panic: fleet requires a prepared video")
-        .unwrap_or_else(|| panic!("video {video_id} was not prepared"));
-    let users = eval.eval_users(video_id);
+    let (users, setup) = eval.user_setups(video_id);
     let level = rec.level();
     let profiling = rec.profiling();
     let window_sec = rec.windows().map_or(0.0, |w| w.window_sec());
@@ -189,15 +179,14 @@ pub fn fleet_sessions_traced(
         let range = ranges.get(shard).cloned().unwrap_or(0..0);
         let mut drivers: Vec<FleetSessionDriver> = range
             .map(|i| {
-                let setup = SessionSetup {
-                    server,
-                    user: &users[i],
-                    network: eval.network(),
-                    phone: eval.config().phone,
-                    max_segments: eval.config().max_segments,
-                };
-                FleetSessionDriver::with_windows(
-                    scheme, &setup, faults, policy, level, profiling, window_sec,
+                FleetSessionDriver::new(
+                    scheme,
+                    &setup(i),
+                    faults,
+                    policy,
+                    level,
+                    profiling,
+                    window_sec,
                 )
             })
             .collect();
@@ -213,12 +202,7 @@ pub fn fleet_sessions_traced(
     for (parts, shard_stats) in shards {
         stats.accumulate(&shard_stats);
         for (metrics, session_rec) in parts {
-            rec.count("experiment.sessions", 1);
-            rec.merge_registry(session_rec.registry());
-            rec.merge_windows(session_rec.windows());
-            for event in session_rec.events() {
-                rec.record(event.clone());
-            }
+            merge_session_recorder(rec, &session_rec);
             if let Some(m) = metrics {
                 sessions.push(m);
             }

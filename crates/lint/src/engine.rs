@@ -49,11 +49,8 @@ impl Default for Config {
                 "abr::mpc::MpcController::plan",
                 "abr::mpc::MpcController::solve_with_bandwidths",
                 "core::client::run_session",
-                "core::client::run_session_with",
                 "core::client::run_session_traced",
                 "core::client::run_session_resilient",
-                "core::client::run_session_resilient_traced",
-                "core::client::run_session_resilient_with",
             ]),
         );
         entries.insert(
@@ -82,7 +79,7 @@ impl Default for Config {
                 "abr::mpc::MpcController::plan",
                 "core::client::run_session",
                 "core::client::run_session_resilient",
-                "core::client::run_session_resilient_traced",
+                "core::client::run_session_traced",
                 "obs::record::Recorder::observe_at",
             ]),
         );

@@ -1,8 +1,8 @@
 //! Event-driven fleet engine: many sessions, one logical-time queue.
 //!
-//! The classic engines ([`crate::session`], [`crate::resilience`], the
-//! full client loop in `ee360-core`) run one session to completion in a
-//! tight loop. That is the right *reference* semantics, but it cannot
+//! The classic engine (the full client loop in `ee360-core`, stepping
+//! [`crate::resilience::SessionCore`]) runs one session to completion in
+//! a tight loop. That is the right *reference* semantics, but it cannot
 //! serve the ROADMAP's million-session studies: it retains per-segment
 //! vectors and walks sessions one at a time. This module supplies the
 //! scale half:

@@ -1,10 +1,14 @@
-//! The resilient download pipeline: timeout, retry, abandon, degrade, skip.
+//! The download pipeline: Eq. 6 wait, timeout, retry, abandon, degrade,
+//! skip.
 //!
-//! Where [`crate::session::StreamingSession`] models the paper's benign
-//! world (every request eventually completes), a [`ResilientSession`]
-//! streams over a [`FaultyLink`] and survives everything a
-//! [`FaultPlan`](ee360_trace::fault::FaultPlan) throws at it, degrading
-//! QoE gracefully instead of stalling forever or crashing:
+//! Every segment of every session downloads through the one step machine
+//! in this module. A [`SessionCore`] holds the mutable per-session state
+//! (buffer, clock, counters); a [`DownloadEnv`] borrows the shared
+//! read-only inputs (trace, [`FaultPlan`], [`RetryPolicy`], decoder
+//! model). One download is [`SessionCore::begin_download`], which
+//! charges the Eq. 6 wait, followed by [`SessionCore::step_download`]
+//! calls until one yields a [`DownloadOutcome`]. Each step is exactly
+//! one attempt plus its backoff:
 //!
 //! 1. every attempt runs under a per-request **timeout**;
 //! 2. a failed attempt (timeout, loss, corruption) is **retried** with
@@ -16,23 +20,18 @@
 //! 4. when the segment's total deadline is blown the player **skips** it,
 //!    charging the blackout to the rebuffer/QoE account and moving on.
 //!
-//! The machinery is factored as a **step-wise machine** so both the
-//! classic loop engine and the event-driven fleet engine
-//! ([`crate::fleet`]) execute literally the same code: a
-//! [`SessionCore`] holds the mutable per-session state (buffer, clock,
-//! counters), a [`DownloadEnv`] borrows the shared read-only inputs
-//! (trace, fault plan, policy), and one download is
-//! [`SessionCore::begin_download`] followed by repeated
-//! [`SessionCore::step_download`] calls — each step is exactly one
-//! attempt (plus its backoff), and the skip path fires when the budget
-//! is exhausted. [`ResilientSession`] wraps the pieces back into the
-//! original one-shot API.
+//! The paper's benign world is the same machine with
+//! [`FaultPlan::none`] and [`RetryPolicy::disabled`]: no fault fires, the
+//! single attempt waits as long as the payload takes, and only the Eq. 6
+//! buffer dynamics remain. The loop engine (`core::client`) and the
+//! event-driven fleet engine ([`crate::fleet`]) both step this struct,
+//! which is why their outputs are bit-identical.
 //!
 //! Every path is deterministic: the fault plan is a pure function of its
 //! seed and the policy arithmetic is plain `f64`, so same-seed replays
 //! serialize byte-identically.
 
-use ee360_obs::{Event, Level, NoopRecorder, Record};
+use ee360_obs::{Event, Level, Record};
 use ee360_trace::fault::{FaultPlan, FaultyLink};
 use ee360_trace::network::NetworkTrace;
 use ee360_video::segment::SEGMENT_DURATION_SEC;
@@ -40,7 +39,7 @@ use ee360_video::segment::SEGMENT_DURATION_SEC;
 use crate::buffer::PlaybackBuffer;
 use crate::decoder::DecoderPipeline;
 use crate::error::SimError;
-use crate::session::SegmentTiming;
+use crate::metrics::SegmentTiming;
 
 /// Stand-in for an infinite per-attempt budget ([`RetryPolicy::disabled`]):
 /// [`FaultyLink::try_download`] needs a finite deadline, and ~11 days of
@@ -117,7 +116,13 @@ impl RetryPolicy {
         (self.backoff_base_sec * self.backoff_factor.powi(retry as i32)).min(self.backoff_cap_sec)
     }
 
-    fn validate(&self) {
+    /// Checks the policy is usable: positive timeout and deadline,
+    /// non-negative backoff with a factor of at least 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the offending parameter, if any check fails.
+    pub fn validate(&self) {
         assert!(
             self.attempt_timeout_sec > 0.0,
             "attempt timeout must be positive"
@@ -318,10 +323,10 @@ pub struct DownloadState {
     pub last_error: SimError,
 }
 
-/// The mutable heart of a resilient session: playback buffer, wall
+/// The mutable heart of a session's downloads: playback buffer, wall
 /// clock, delivery count and fault tallies — ~100 bytes, no vectors.
-/// Both engines (the [`ResilientSession`] loop and the [`crate::fleet`]
-/// event queue) drive downloads through this same struct, which is the
+/// Both engines (the `core::client` loop and the [`crate::fleet`] event
+/// queue) drive downloads through this same struct, which is the
 /// mechanical half of the bit-identical-replay argument.
 #[derive(Debug, Clone)]
 pub struct SessionCore {
@@ -474,8 +479,27 @@ impl SessionCore {
     /// one iteration of the original retry loop, which is what makes the
     /// loop and event engines bit-identical.
     ///
-    /// `request(rung)` maps a degradation rung to the bits to fetch,
-    /// exactly as in [`ResilientSession::download_segment`].
+    /// `request(rung)` maps a degradation rung to the bits to fetch:
+    /// rung 0 is the controller's original plan and each subsequent rung
+    /// is one step down the (bitrate, frame-rate) ladder. The returned
+    /// bits must be positive, finite, and non-increasing in `rung`.
+    ///
+    /// Fault handling per attempt:
+    /// * scheduled **loss** → the request vanishes; the client burns the
+    ///   full attempt timeout, then retries after backoff;
+    /// * **timeout** (outage / slow link) → mid-download abandon; the
+    ///   partial payload is wasted and the *next* attempt degrades one
+    ///   rung;
+    /// * **corruption** → full download time burned, then refetched;
+    /// * **decoder wedge** → recovered inline by reinitialising the codec
+    ///   (charged as recovery time, never fails the segment).
+    ///
+    /// Instrumentation contract: every [`ResilienceCounters`] bump is
+    /// mirrored — at the same statement, with the same value — into the
+    /// recorder's registry (`resilience.*` counters and histograms), so
+    /// at end of session the registry reconciles *exactly* with the
+    /// counters. The recorder is write-only: a `NoopRecorder` run and a
+    /// recording run produce bit-identical outcomes.
     ///
     /// # Panics
     ///
@@ -699,227 +723,74 @@ impl SessionCore {
     }
 }
 
-/// A streaming session hardened against a [`FaultPlan`].
-///
-/// # Example
-///
-/// ```
-/// use ee360_sim::resilience::{ResilientSession, RetryPolicy};
-/// use ee360_trace::fault::FaultPlan;
-/// use ee360_trace::network::NetworkTrace;
-///
-/// let net = NetworkTrace::from_samples(vec![4.0e6; 120]);
-/// let plan = FaultPlan::single_outage(2.0, 10.0); // 10 s dead radio
-/// let mut s = ResilientSession::new(net, plan, RetryPolicy::default_mobile(), 3.0);
-/// // 2 Mb planned, halving per degradation rung.
-/// let out = s.download_segment(0, &mut |rung| 2.0e6 / (1 << rung) as f64);
-/// assert!(out.is_delivered() || s.counters().skipped_segments == 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ResilientSession {
-    network: NetworkTrace,
-    plan: FaultPlan,
-    policy: RetryPolicy,
-    decoder: DecoderPipeline,
-    core: SessionCore,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ee360_obs::{NoopRecorder, Recorder};
+    use ee360_trace::fault::FaultConfig;
 
-impl ResilientSession {
-    /// Creates a session at time zero with an empty buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy or buffer threshold is malformed.
-    pub fn new(
+    /// The read-only inputs of a test session, owned in one place so each
+    /// test can borrow a [`DownloadEnv`] from them.
+    struct Link {
         network: NetworkTrace,
         plan: FaultPlan,
         policy: RetryPolicy,
-        buffer_threshold_sec: f64,
-    ) -> Self {
-        policy.validate();
-        Self {
-            network,
-            plan,
-            policy,
-            decoder: DecoderPipeline::paper_default(),
-            core: SessionCore::new(buffer_threshold_sec),
+        decoder: DecoderPipeline,
+    }
+
+    impl Link {
+        fn new(network: NetworkTrace, plan: FaultPlan, policy: RetryPolicy) -> Self {
+            Self {
+                network,
+                plan,
+                policy,
+                decoder: DecoderPipeline::paper_default(),
+            }
         }
-    }
 
-    /// Current wall-clock time, seconds.
-    pub fn clock_sec(&self) -> f64 {
-        self.core.clock_sec()
-    }
+        /// The paper's benign world: no faults, wait forever.
+        fn benign(network: NetworkTrace) -> Self {
+            Self::new(network, FaultPlan::none(), RetryPolicy::disabled())
+        }
 
-    /// Current buffer level, seconds of video.
-    pub fn buffer_level_sec(&self) -> f64 {
-        self.core.buffer_level_sec()
-    }
-
-    /// Segments delivered so far (skips excluded).
-    pub fn segments_completed(&self) -> usize {
-        self.core.segments_completed()
-    }
-
-    /// The running resilience tallies.
-    pub fn counters(&self) -> &ResilienceCounters {
-        self.core.counters()
-    }
-
-    /// The retry policy in force.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-
-    /// The fault plan in force.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Fetches startup metadata, riding out outages with the same
-    /// timeout/backoff machinery (metadata is small but the radio can
-    /// still be dead).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidRequest`] for non-positive bits;
-    /// [`SimError::DeadlineExhausted`] if every attempt timed out.
-    pub fn fetch_metadata(&mut self, bits: f64) -> Result<f64, SimError> {
-        self.fetch_metadata_traced(bits, &mut NoopRecorder)
-    }
-
-    /// [`Self::fetch_metadata`] with observability: every counter bump
-    /// is mirrored into the recorder's registry and retries emit
-    /// detail-level events (under segment index 0, the startup phase).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::fetch_metadata`].
-    pub fn fetch_metadata_traced(
-        &mut self,
-        bits: f64,
-        rec: &mut dyn Record,
-    ) -> Result<f64, SimError> {
-        let env = DownloadEnv {
-            network: &self.network,
-            plan: &self.plan,
-            policy: &self.policy,
-            decoder: &self.decoder,
-            fault_base: 0,
-        };
-        self.core.fetch_metadata_traced(&env, bits, rec)
-    }
-
-    /// Opens segment `segment` step-wise: the returned [`DownloadState`]
-    /// is driven to completion by [`Self::step_download`]. This is the
-    /// event-engine entry; [`Self::download_segment`] is the same thing
-    /// run in a tight loop.
-    pub fn begin_download(&mut self, segment: usize) -> DownloadState {
-        let env = DownloadEnv {
-            network: &self.network,
-            plan: &self.plan,
-            policy: &self.policy,
-            decoder: &self.decoder,
-            fault_base: 0,
-        };
-        self.core.begin_download(&env, segment)
-    }
-
-    /// Runs one attempt (plus backoff) of an open download; `None` means
-    /// still in flight. See [`SessionCore::step_download`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `request` returns non-positive or non-finite bits.
-    pub fn step_download(
-        &mut self,
-        st: &mut DownloadState,
-        request: &mut dyn FnMut(usize) -> f64,
-        rec: &mut dyn Record,
-    ) -> Option<DownloadOutcome> {
-        let env = DownloadEnv {
-            network: &self.network,
-            plan: &self.plan,
-            policy: &self.policy,
-            decoder: &self.decoder,
-            fault_base: 0,
-        };
-        self.core.step_download(&env, st, request, rec)
-    }
-
-    /// Downloads segment `segment` with the full recovery ladder.
-    ///
-    /// `request(rung)` maps a degradation rung to the bits to fetch:
-    /// rung 0 is the controller's original plan and each subsequent rung
-    /// is one step down the (bitrate, frame-rate) ladder — the caller
-    /// wires in its ABR's replan hook. The returned bits must be positive,
-    /// finite, and non-increasing in `rung`.
-    ///
-    /// Fault handling per attempt:
-    /// * scheduled **loss** → the request vanishes; the client burns the
-    ///   full attempt timeout, then retries after backoff;
-    /// * **timeout** (outage / slow link) → mid-download abandon; the
-    ///   partial payload is wasted and the *next* attempt degrades one
-    ///   rung;
-    /// * **corruption** → full download time burned, then refetched;
-    /// * **decoder wedge** → recovered inline by reinitialising the codec
-    ///   (charged as recovery time, never fails the segment).
-    ///
-    /// When attempts or the per-segment deadline run out the segment is
-    /// skipped: the elapsed time drains the buffer (stalling if it runs
-    /// dry), the blackout is tallied, and the session moves on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `request` returns non-positive or non-finite bits.
-    pub fn download_segment(
-        &mut self,
-        segment: usize,
-        request: &mut dyn FnMut(usize) -> f64,
-    ) -> DownloadOutcome {
-        self.download_segment_traced(segment, request, &mut NoopRecorder)
-    }
-
-    /// [`Self::download_segment`] with observability.
-    ///
-    /// Instrumentation contract: every [`ResilienceCounters`] bump is
-    /// mirrored — at the same statement, with the same value — into
-    /// the recorder's registry (`resilience.*` counters and
-    /// histograms), so at end of session the registry reconciles
-    /// *exactly* with the counters. Per-attempt outcomes, backoff
-    /// pauses, abandons, buffer occupancy and skips additionally emit
-    /// typed events. The recorder is write-only: nothing it does can
-    /// feed back into control flow, so a `NoopRecorder` run and a
-    /// recording run produce bit-identical outcomes.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Self::download_segment`].
-    pub fn download_segment_traced(
-        &mut self,
-        segment: usize,
-        request: &mut dyn FnMut(usize) -> f64,
-        rec: &mut dyn Record,
-    ) -> DownloadOutcome {
-        let mut st = self.begin_download(segment);
-        loop {
-            if let Some(outcome) = self.step_download(&mut st, request, rec) {
-                return outcome;
+        fn env(&self) -> DownloadEnv<'_> {
+            DownloadEnv {
+                network: &self.network,
+                plan: &self.plan,
+                policy: &self.policy,
+                decoder: &self.decoder,
+                fault_base: 0,
             }
         }
     }
 
-    /// Resets to time zero with an empty buffer and zeroed counters (same
-    /// trace, plan and policy).
-    pub fn reset(&mut self) {
-        self.core.reset();
+    /// Steps one segment's download to its outcome.
+    fn download(
+        core: &mut SessionCore,
+        env: &DownloadEnv<'_>,
+        segment: usize,
+        request: &mut dyn FnMut(usize) -> f64,
+    ) -> DownloadOutcome {
+        let mut st = core.begin_download(env, segment);
+        loop {
+            if let Some(out) = core.step_download(env, &mut st, request, &mut NoopRecorder) {
+                return out;
+            }
+        }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ee360_trace::fault::FaultConfig;
+    /// [`download`] for a run that must deliver; returns the timing.
+    fn delivered(
+        core: &mut SessionCore,
+        env: &DownloadEnv<'_>,
+        segment: usize,
+        bits: f64,
+    ) -> SegmentTiming {
+        match download(core, env, segment, &mut fixed_request(bits)) {
+            DownloadOutcome::Delivered { timing, .. } => timing,
+            other => panic!("segment {segment} must deliver: {other:?}"),
+        }
+    }
 
     fn constant_net(bps: f64, len: usize) -> NetworkTrace {
         NetworkTrace::from_samples(vec![bps; len])
@@ -930,28 +801,306 @@ mod tests {
     }
 
     #[test]
-    fn clean_link_behaves_like_the_benign_session() {
-        let mut resilient = ResilientSession::new(
+    fn steady_state_paces_at_segment_rate() {
+        // Downloads faster than playback: after warm-up, each request waits
+        // so that (wait + download) ≈ 1 segment duration.
+        let link = Link::benign(constant_net(8.0e6, 1));
+        let mut core = SessionCore::new(3.0);
+        for k in 0..6 {
+            delivered(&mut core, &link.env(), k, 2.0e6);
+        }
+        let t = delivered(&mut core, &link.env(), 6, 2.0e6);
+        assert!((t.wait_sec + t.download_sec - 1.0).abs() < 1e-9);
+        assert!((t.buffer_at_request_sec - 3.0).abs() < 1e-9);
+        assert_eq!(t.stall_sec, 0.0);
+    }
+
+    #[test]
+    fn first_segment_stalls_on_the_empty_buffer() {
+        // Startup: nothing is buffered, so the whole first download is
+        // stall and the segment then fills the buffer.
+        let link = Link::benign(constant_net(4.0e6, 1));
+        let mut core = SessionCore::new(3.0);
+        let t = delivered(&mut core, &link.env(), 0, 2.0e6);
+        assert_eq!(t.wait_sec, 0.0);
+        assert_eq!(t.buffer_at_request_sec, 0.0);
+        assert!((t.stall_sec - 0.5).abs() < 1e-9);
+        assert!((t.buffer_after_sec - SEGMENT_DURATION_SEC).abs() < 1e-9);
+    }
+
+    #[test]
+    fn slow_network_stalls() {
+        // 6 Mb over 4 Mbps = 1.5 s per 1 s segment: the buffer drains.
+        let link = Link::benign(constant_net(4.0e6, 1));
+        let mut core = SessionCore::new(3.0);
+        let mut total_stall = 0.0;
+        for k in 0..10 {
+            total_stall += delivered(&mut core, &link.env(), k, 6.0e6).stall_sec;
+        }
+        assert!(total_stall > 1.0, "stall {total_stall}");
+    }
+
+    #[test]
+    fn clock_advances_by_wait_plus_download() {
+        let link = Link::benign(constant_net(4.0e6, 1));
+        let mut core = SessionCore::new(3.0);
+        for k in 0..5 {
+            let before = core.clock_sec();
+            let t = delivered(&mut core, &link.env(), k, 2.0e6);
+            assert!((core.clock_sec() - (before + t.wait_sec + t.download_sec)).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn throughput_matches_trace_on_constant_network() {
+        let link = Link::benign(constant_net(5.0e6, 1));
+        let mut core = SessionCore::new(3.0);
+        let t = delivered(&mut core, &link.env(), 0, 1.0e6);
+        assert!((t.throughput_bps - 5.0e6).abs() < 1e-6);
+    }
+
+    #[test]
+    fn variable_network_effective_throughput() {
+        let link = Link::benign(NetworkTrace::from_samples(vec![1.0e6, 3.0e6]));
+        let mut core = SessionCore::new(3.0);
+        let t = delivered(&mut core, &link.env(), 0, 2.0e6); // 1 s @1 Mbps + 1/3 s @3 Mbps
+        assert!((t.download_sec - (1.0 + 1.0 / 3.0)).abs() < 1e-9);
+        assert!(t.throughput_bps > 1.0e6 && t.throughput_bps < 3.0e6);
+    }
+
+    #[test]
+    fn counts_segments() {
+        let link = Link::benign(constant_net(4.0e6, 1));
+        let mut core = SessionCore::new(3.0);
+        for k in 0..5 {
+            delivered(&mut core, &link.env(), k, 1.0e6);
+        }
+        assert_eq!(core.segments_completed(), 5);
+    }
+
+    #[test]
+    fn reset_restores_initial_state() {
+        let link = Link::new(
+            constant_net(4.0e6, 60),
+            FaultPlan::single_outage(0.0, 5.0),
+            RetryPolicy::default_mobile(),
+        );
+        let mut core = SessionCore::new(3.0);
+        let _ = download(&mut core, &link.env(), 0, &mut fixed_request(2.0e6));
+        assert!(!core.counters().is_clean());
+        core.reset();
+        assert_eq!(core.clock_sec(), 0.0);
+        assert_eq!(core.buffer_level_sec(), 0.0);
+        assert_eq!(core.segments_completed(), 0);
+        assert_eq!(*core.counters(), ResilienceCounters::default());
+    }
+
+    #[test]
+    fn metadata_fetch_advances_clock_only() {
+        let link = Link::benign(constant_net(4.0e6, 1));
+        let mut core = SessionCore::new(3.0);
+        let d = core
+            .fetch_metadata_traced(&link.env(), 1.0e6, &mut NoopRecorder)
+            .unwrap();
+        assert!((d - 0.25).abs() < 1e-9);
+        assert!((core.clock_sec() - 0.25).abs() < 1e-9);
+        assert_eq!(core.buffer_level_sec(), 0.0);
+        assert_eq!(core.segments_completed(), 0);
+        assert!(core.counters().is_clean());
+    }
+
+    #[test]
+    fn invalid_metadata_request_leaves_core_untouched() {
+        let link = Link::benign(constant_net(4.0e6, 1));
+        let mut core = SessionCore::new(3.0);
+        assert!(matches!(
+            core.fetch_metadata_traced(&link.env(), -1.0, &mut NoopRecorder),
+            Err(SimError::InvalidRequest(_))
+        ));
+        assert_eq!(core.clock_sec(), 0.0);
+        assert_eq!(core.buffer_level_sec(), 0.0);
+        assert_eq!(*core.counters(), ResilienceCounters::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "positive bits")]
+    fn zero_bits_panics() {
+        let link = Link::benign(constant_net(4.0e6, 1));
+        let mut core = SessionCore::new(3.0);
+        let _ = download(&mut core, &link.env(), 0, &mut |_| 0.0);
+    }
+
+    #[test]
+    fn timeout_drains_the_buffer_over_the_burned_time() {
+        // Prime ~3 s of buffer, then a dead link: the single 3 s attempt
+        // times out, its time is committed to the clock, and playback
+        // drains the buffer over it.
+        let net = NetworkTrace::from_samples([vec![64.0e6; 1], vec![0.0; 40]].concat());
+        let policy = RetryPolicy {
+            attempt_timeout_sec: 3.0,
+            max_retries: 0,
+            segment_deadline_sec: 3.0,
+            ..RetryPolicy::default_mobile()
+        };
+        let link = Link::new(net, FaultPlan::none(), policy);
+        let mut core = SessionCore::new(3.0);
+        for k in 0..3 {
+            delivered(&mut core, &link.env(), k, 1.0e6);
+        }
+        let buffered = core.buffer_level_sec();
+        let clock = core.clock_sec();
+        match download(&mut core, &link.env(), 3, &mut fixed_request(200.0e6)) {
+            DownloadOutcome::Skipped {
+                elapsed_sec,
+                last_error,
+                ..
+            } => {
+                assert!((elapsed_sec - 3.0).abs() < 1e-9);
+                assert!(matches!(last_error, SimError::Timeout { .. }));
+            }
+            other => panic!("expected timeout, got {other:?}"),
+        }
+        assert!((core.clock_sec() - (clock + 3.0)).abs() < 1e-9);
+        assert!((core.buffer_level_sec() - (buffered - 3.0).max(0.0)).abs() < 1e-9);
+        assert_eq!(core.segments_completed(), 3);
+    }
+
+    #[test]
+    fn dead_trace_under_the_disabled_policy_skips_instead_of_hanging() {
+        let link = Link::benign(NetworkTrace::from_samples(vec![0.0, 0.0]));
+        let mut core = SessionCore::new(3.0);
+        assert!(matches!(
+            core.fetch_metadata_traced(&link.env(), 1.0e5, &mut NoopRecorder),
+            Err(SimError::DeadlineExhausted { attempts: 1, .. })
+        ));
+        let out = download(&mut core, &link.env(), 0, &mut fixed_request(1.0e6));
+        assert!(!out.is_delivered());
+        assert_eq!(core.counters().skipped_segments, 1);
+        assert!(core.clock_sec().is_finite());
+    }
+
+    #[test]
+    fn clean_link_timings_are_pinned() {
+        // Golden bits of ten clean-link downloads (8 Mbps, 2 Mb segments,
+        // β = 3 s), recorded when the benign session model still existed
+        // alongside this machine and agreed with it. Fields in order:
+        // request time, wait, download, throughput, buffer at request,
+        // stall, buffer after.
+        const PIN: [[u64; 7]; 10] = [
+            [
+                0x0000000000000000,
+                0x0000000000000000,
+                0x3fd0000000000000,
+                0x415e848000000000,
+                0x0000000000000000,
+                0x3fd0000000000000,
+                0x3ff0000000000000,
+            ],
+            [
+                0x3fd0000000000000,
+                0x0000000000000000,
+                0x3fd0000000000000,
+                0x415e848000000000,
+                0x3ff0000000000000,
+                0x0000000000000000,
+                0x3ffc000000000000,
+            ],
+            [
+                0x3fe0000000000000,
+                0x0000000000000000,
+                0x3fd0000000000000,
+                0x415e848000000000,
+                0x3ffc000000000000,
+                0x0000000000000000,
+                0x4004000000000000,
+            ],
+            [
+                0x3fe8000000000000,
+                0x0000000000000000,
+                0x3fd0000000000000,
+                0x415e848000000000,
+                0x4004000000000000,
+                0x0000000000000000,
+                0x400a000000000000,
+            ],
+            [
+                0x3ff4000000000000,
+                0x3fd0000000000000,
+                0x3fd0000000000000,
+                0x415e848000000000,
+                0x4008000000000000,
+                0x0000000000000000,
+                0x400e000000000000,
+            ],
+            [
+                0x4002000000000000,
+                0x3fe8000000000000,
+                0x3fd0000000000000,
+                0x415e848000000000,
+                0x4008000000000000,
+                0x0000000000000000,
+                0x400e000000000000,
+            ],
+            [
+                0x400a000000000000,
+                0x3fe8000000000000,
+                0x3fd0000000000000,
+                0x415e848000000000,
+                0x4008000000000000,
+                0x0000000000000000,
+                0x400e000000000000,
+            ],
+            [
+                0x4011000000000000,
+                0x3fe8000000000000,
+                0x3fd0000000000000,
+                0x415e848000000000,
+                0x4008000000000000,
+                0x0000000000000000,
+                0x400e000000000000,
+            ],
+            [
+                0x4015000000000000,
+                0x3fe8000000000000,
+                0x3fd0000000000000,
+                0x415e848000000000,
+                0x4008000000000000,
+                0x0000000000000000,
+                0x400e000000000000,
+            ],
+            [
+                0x4019000000000000,
+                0x3fe8000000000000,
+                0x3fd0000000000000,
+                0x415e848000000000,
+                0x4008000000000000,
+                0x0000000000000000,
+                0x400e000000000000,
+            ],
+        ];
+        let link = Link::new(
             constant_net(8.0e6, 60),
             FaultPlan::none(),
             RetryPolicy::default_mobile(),
-            3.0,
         );
-        let mut benign = crate::session::StreamingSession::new(constant_net(8.0e6, 60), 3.0);
-        for k in 0..10 {
-            let out = resilient.download_segment(k, &mut fixed_request(2.0e6));
-            let t_benign = benign.download_segment(2.0e6);
-            match out {
-                DownloadOutcome::Delivered { timing, .. } => {
-                    assert!((timing.download_sec - t_benign.download_sec).abs() < 1e-9);
-                    assert!((timing.stall_sec - t_benign.stall_sec).abs() < 1e-9);
-                    assert!((timing.wait_sec - t_benign.wait_sec).abs() < 1e-9);
-                }
-                other => panic!("clean link must deliver: {other:?}"),
-            }
+        let mut core = SessionCore::new(3.0);
+        for (k, pin) in PIN.iter().enumerate() {
+            let t = delivered(&mut core, &link.env(), k, 2.0e6);
+            let bits = [
+                t.request_time_sec,
+                t.wait_sec,
+                t.download_sec,
+                t.throughput_bps,
+                t.buffer_at_request_sec,
+                t.stall_sec,
+                t.buffer_after_sec,
+            ]
+            .map(f64::to_bits);
+            assert_eq!(&bits, pin, "segment {k} timing moved");
         }
-        assert!(resilient.counters().is_clean());
-        assert!((resilient.clock_sec() - benign.clock_sec()).abs() < 1e-9);
+        assert!(core.counters().is_clean());
+        assert_eq!(core.clock_sec().to_bits(), 0x401a000000000000);
+        assert_eq!(core.buffer_level_sec().to_bits(), 0x400e000000000000);
     }
 
     #[test]
@@ -959,19 +1108,22 @@ mod tests {
         // 10 s dead radio from t=1: the first attempt abandons, later
         // attempts degrade, and eventually a cheaper payload squeaks
         // through once the radio recovers.
-        let net = constant_net(4.0e6, 120);
-        let plan = FaultPlan::single_outage(1.0, 10.0);
         let policy = RetryPolicy {
             attempt_timeout_sec: 4.0,
             max_retries: 4,
             segment_deadline_sec: 20.0,
             ..RetryPolicy::default_mobile()
         };
-        let mut s = ResilientSession::new(net, plan, policy, 3.0);
+        let link = Link::new(
+            constant_net(4.0e6, 120),
+            FaultPlan::single_outage(1.0, 10.0),
+            policy,
+        );
+        let mut core = SessionCore::new(3.0);
         let mut rungs_seen = Vec::new();
         // 8 Mb at rung 0 needs 2 s of the 4 Mbps link: the outage at t=1
         // guarantees the first attempt cannot finish before its timeout.
-        let out = s.download_segment(0, &mut |rung| {
+        let out = download(&mut core, &link.env(), 0, &mut |rung| {
             rungs_seen.push(rung);
             8.0e6 / (1u64 << rung) as f64
         });
@@ -986,7 +1138,7 @@ mod tests {
             }
             DownloadOutcome::Skipped { .. } => panic!("20 s deadline outlives a 10 s outage"),
         }
-        assert!(s.counters().abandons >= 1);
+        assert!(core.counters().abandons >= 1);
         assert!(rungs_seen.windows(2).all(|w| w[1] >= w[0]));
     }
 
@@ -994,10 +1146,14 @@ mod tests {
     fn hopeless_outage_skips_with_bounded_blackout() {
         // Radio dead for the entire deadline: the segment must be skipped
         // in bounded time, never hanging.
-        let net = constant_net(4.0e6, 200).with_outage(0, 200, 0.0);
         let policy = RetryPolicy::default_mobile();
-        let mut s = ResilientSession::new(net, FaultPlan::none(), policy, 3.0);
-        let out = s.download_segment(0, &mut fixed_request(2.0e6));
+        let link = Link::new(
+            constant_net(4.0e6, 200).with_outage(0, 200, 0.0),
+            FaultPlan::none(),
+            policy,
+        );
+        let mut core = SessionCore::new(3.0);
+        let out = download(&mut core, &link.env(), 0, &mut fixed_request(2.0e6));
         match out {
             DownloadOutcome::Skipped {
                 elapsed_sec,
@@ -1011,8 +1167,8 @@ mod tests {
             }
             other => panic!("dead radio must skip: {other:?}"),
         }
-        assert_eq!(s.counters().skipped_segments, 1);
-        assert!(s.clock_sec() <= policy.segment_deadline_sec + 1e-9);
+        assert_eq!(core.counters().skipped_segments, 1);
+        assert!(core.clock_sec() <= policy.segment_deadline_sec + 1e-9);
     }
 
     #[test]
@@ -1024,13 +1180,17 @@ mod tests {
             },
             7,
         );
-        let policy = RetryPolicy::default_mobile();
-        let mut s = ResilientSession::new(constant_net(8.0e6, 120), plan, policy, 3.0);
-        let out = s.download_segment(3, &mut fixed_request(2.0e6));
+        let link = Link::new(
+            constant_net(8.0e6, 120),
+            plan,
+            RetryPolicy::default_mobile(),
+        );
+        let mut core = SessionCore::new(3.0);
+        let out = download(&mut core, &link.env(), 3, &mut fixed_request(2.0e6));
         assert!(!out.is_delivered());
-        assert_eq!(s.counters().losses, s.counters().attempts);
-        assert!(s.counters().timeouts >= 1);
-        assert_eq!(s.counters().skipped_segments, 1);
+        assert_eq!(core.counters().losses, core.counters().attempts);
+        assert!(core.counters().timeouts >= 1);
+        assert_eq!(core.counters().skipped_segments, 1);
     }
 
     #[test]
@@ -1042,17 +1202,17 @@ mod tests {
             },
             1,
         );
-        let mut s = ResilientSession::new(
+        let link = Link::new(
             constant_net(8.0e6, 120),
             always,
             RetryPolicy::default_mobile(),
-            3.0,
         );
-        let out = s.download_segment(0, &mut fixed_request(2.0e6));
+        let mut core = SessionCore::new(3.0);
+        let out = download(&mut core, &link.env(), 0, &mut fixed_request(2.0e6));
         assert!(!out.is_delivered(), "all-corrupt link cannot deliver");
-        assert!(s.counters().corruptions >= 1);
+        assert!(core.counters().corruptions >= 1);
         assert!(
-            s.counters().wasted_bits > 0.0,
+            core.counters().wasted_bits > 0.0,
             "corrupt payloads are wasted"
         );
     }
@@ -1066,16 +1226,16 @@ mod tests {
             },
             5,
         );
-        let mut s = ResilientSession::new(
+        let link = Link::new(
             constant_net(8.0e6, 120),
             plan,
             RetryPolicy::default_mobile(),
-            3.0,
         );
-        let out = s.download_segment(0, &mut fixed_request(2.0e6));
+        let mut core = SessionCore::new(3.0);
+        let out = download(&mut core, &link.env(), 0, &mut fixed_request(2.0e6));
         assert!(out.is_delivered(), "decoder wedge must not fail delivery");
-        assert_eq!(s.counters().decoder_failures, 1);
-        assert!(s.counters().recovery_sec > 0.0);
+        assert_eq!(core.counters().decoder_failures, 1);
+        assert!(core.counters().recovery_sec > 0.0);
     }
 
     #[test]
@@ -1105,17 +1265,16 @@ mod tests {
             segment_deadline_sec: 6.0,
             ..RetryPolicy::default_mobile()
         };
-        let mut s = ResilientSession::new(net, FaultPlan::none(), policy, 3.0);
+        let link = Link::new(net, FaultPlan::none(), policy);
+        let mut core = SessionCore::new(3.0);
         // Three quick segments fill the buffer to ~3 s within slot 0.
         for k in 0..3 {
-            assert!(s
-                .download_segment(k, &mut fixed_request(1.0e6))
-                .is_delivered());
+            assert!(download(&mut core, &link.env(), k, &mut fixed_request(1.0e6)).is_delivered());
         }
-        let buffered = s.buffer_level_sec();
+        let buffered = core.buffer_level_sec();
         assert!(buffered > 1.0);
         // 200 Mb can never finish before the radio dies at t=1.
-        let out = s.download_segment(3, &mut fixed_request(200.0e6));
+        let out = download(&mut core, &link.env(), 3, &mut fixed_request(200.0e6));
         match out {
             DownloadOutcome::Skipped {
                 elapsed_sec,
@@ -1133,17 +1292,29 @@ mod tests {
         }
     }
 
+    fn chaos_link() -> Link {
+        Link::new(
+            NetworkTrace::paper_trace2(300, 9),
+            FaultPlan::generate(FaultConfig::chaos_default(), 300.0, 21),
+            RetryPolicy::default_mobile(),
+        )
+    }
+
     #[test]
     fn same_seed_replay_is_identical() {
         let run = || {
-            let net = NetworkTrace::paper_trace2(300, 9);
-            let plan = FaultPlan::generate(FaultConfig::chaos_default(), 300.0, 21);
-            let mut s = ResilientSession::new(net, plan, RetryPolicy::default_mobile(), 3.0);
+            let link = chaos_link();
+            let mut core = SessionCore::new(3.0);
             let mut log = Vec::new();
             for k in 0..60 {
-                log.push(s.download_segment(k, &mut fixed_request(3.0e6)));
+                log.push(download(
+                    &mut core,
+                    &link.env(),
+                    k,
+                    &mut fixed_request(3.0e6),
+                ));
             }
-            (log, *s.counters())
+            (log, *core.counters())
         };
         let (log_a, c_a) = run();
         let (log_b, c_b) = run();
@@ -1152,36 +1323,32 @@ mod tests {
     }
 
     #[test]
-    fn step_machine_matches_one_shot_download() {
-        // Driving begin/step by hand must be bit-identical to the
-        // one-shot API — outcomes, counters, clock and buffer.
-        let make = || {
-            let net = NetworkTrace::paper_trace2(300, 9);
-            let plan = FaultPlan::generate(FaultConfig::chaos_default(), 300.0, 21);
-            ResilientSession::new(net, plan, RetryPolicy::default_mobile(), 3.0)
-        };
-        let mut one_shot = make();
-        let mut stepped = make();
+    fn recording_never_changes_the_step_machine() {
+        // Stepping with a live Detail recorder must be bit-identical to
+        // stepping with the no-op one — outcomes, counters, clock and
+        // buffer.
+        let link = chaos_link();
+        let env = link.env();
+        let mut quiet = SessionCore::new(3.0);
+        let mut traced = SessionCore::new(3.0);
+        let mut rec = Recorder::new(ee360_obs::Level::Detail);
         for k in 0..60 {
-            let a = one_shot.download_segment(k, &mut fixed_request(3.0e6));
-            let mut st = stepped.begin_download(k);
+            let a = download(&mut quiet, &env, k, &mut fixed_request(3.0e6));
+            let mut st = traced.begin_download(&env, k);
             let b = loop {
                 if let Some(out) =
-                    stepped.step_download(&mut st, &mut fixed_request(3.0e6), &mut NoopRecorder)
+                    traced.step_download(&env, &mut st, &mut fixed_request(3.0e6), &mut rec)
                 {
                     break out;
                 }
             };
-            assert_eq!(a, b, "segment {k} diverged between engines");
+            assert_eq!(a, b, "segment {k} diverged between recorders");
         }
-        assert_eq!(one_shot.counters(), stepped.counters());
+        assert_eq!(quiet.counters(), traced.counters());
+        assert_eq!(quiet.clock_sec().to_bits(), traced.clock_sec().to_bits());
         assert_eq!(
-            one_shot.clock_sec().to_bits(),
-            stepped.clock_sec().to_bits()
-        );
-        assert_eq!(
-            one_shot.buffer_level_sec().to_bits(),
-            stepped.buffer_level_sec().to_bits()
+            quiet.buffer_level_sec().to_bits(),
+            traced.buffer_level_sec().to_bits()
         );
     }
 

@@ -11,12 +11,15 @@
 use ee360::abr::controller::Scheme;
 use ee360::abr::dual::EnergyBudgetController;
 use ee360::cluster::ptile::PtileConfig;
-use ee360::core::client::{run_session, run_session_with, SessionSetup};
+use ee360::core::client::{run_session, run_session_traced, SessionSetup};
 use ee360::core::report::TableWriter;
 use ee360::core::server::VideoServer;
 use ee360::geom::grid::TileGrid;
+use ee360::obs::NoopRecorder;
 use ee360::power::model::Phone;
+use ee360::sim::resilience::RetryPolicy;
 use ee360::trace::dataset::VideoTraces;
+use ee360::trace::fault::FaultPlan;
 use ee360::trace::head::GazeConfig;
 use ee360::trace::network::NetworkTrace;
 use ee360::video::catalog::VideoCatalog;
@@ -55,7 +58,13 @@ fn main() {
 
     for budget in [700.0, 900.0, 1200.0, 1600.0, 2400.0] {
         let mut controller = EnergyBudgetController::new(budget);
-        let m = run_session_with(&mut controller, &setup);
+        let m = run_session_traced(
+            &mut controller,
+            &setup,
+            &FaultPlan::none(),
+            &RetryPolicy::disabled(),
+            &mut NoopRecorder,
+        );
         table.row(vec![
             "budget (dual)".into(),
             format!("{budget:.0}"),

@@ -31,8 +31,13 @@ for key in schema fns calls unresolved_calls; do
     || { echo "callgraph missing key: ${key}" >&2; exit 1; }
 done
 
-echo "==> cargo test -q --offline --workspace"
+echo "==> cargo test -q --offline --workspace (default threads, then 4)"
+# Twice: once at the harness's default thread count and once with four
+# test threads, so tests that share process-wide state (the allocator
+# budget in tests/fleet_memory.rs) race here even on a 1-core box, where
+# the default is serial.
 cargo test -q --offline --workspace
+cargo test -q --offline --workspace -- --test-threads=4
 
 echo "==> fault-injection smoke (seeded chaos run per phone profile)"
 # One seeded chaos scenario per phone: a 10 s mid-stream blackout on the
@@ -104,8 +109,7 @@ for key in ee360.timeseries.v1 window_sec t_start_sec stall_hist \
 done
 
 echo "==> perf smoke (tracked baseline, quick mode; regression-gated)"
-# Emits BENCH_perf.json (repo root) and the results/bench_perf.json
-# artifact copy — both written by the binary itself — with the solver
+# Emits BENCH_perf.json (repo root, the one copy) with the solver
 # plans/sec, session and quick-sweep wall times, the per-thread-count
 # scaling rows, their canary-normalised speedups vs the pinned seed
 # figures, and the obs_overhead section (fleet telemetry on vs off).
@@ -127,7 +131,7 @@ else
     grep -q "\"${key}\"" BENCH_perf.json \
       || { echo "BENCH_perf.json missing key: ${key}" >&2; exit 1; }
   done
-  echo "perf smoke: wrote BENCH_perf.json and results/bench_perf.json"
+  echo "perf smoke: wrote BENCH_perf.json"
 fi
 
 echo "==> cargo fmt --check"

@@ -12,9 +12,11 @@ use ee360::cluster::ptile::PtileConfig;
 use ee360::core::client::{run_session, run_session_resilient, SessionSetup};
 use ee360::core::server::VideoServer;
 use ee360::geom::grid::TileGrid;
+use ee360::obs::NoopRecorder;
 use ee360::power::model::Phone;
+use ee360::sim::decoder::DecoderPipeline;
 use ee360::sim::metrics::SessionMetrics;
-use ee360::sim::resilience::{DownloadOutcome, ResilientSession, RetryPolicy};
+use ee360::sim::resilience::{DownloadEnv, DownloadOutcome, RetryPolicy, SessionCore};
 use ee360::trace::dataset::VideoTraces;
 use ee360::trace::fault::{FaultConfig, FaultPlan};
 use ee360::trace::head::{GazeConfig, HeadTrace};
@@ -22,6 +24,51 @@ use ee360::trace::network::NetworkTrace;
 use ee360::video::catalog::VideoCatalog;
 use ee360_support::json::to_string;
 use ee360_support::prelude::*;
+
+/// The read-only inputs of a single session's downloads, owned in one
+/// place so a test can borrow a [`DownloadEnv`] from them.
+struct Link {
+    network: NetworkTrace,
+    plan: FaultPlan,
+    policy: RetryPolicy,
+    decoder: DecoderPipeline,
+}
+
+impl Link {
+    fn new(network: NetworkTrace, plan: FaultPlan, policy: RetryPolicy) -> Self {
+        Self {
+            network,
+            plan,
+            policy,
+            decoder: DecoderPipeline::paper_default(),
+        }
+    }
+
+    fn env(&self) -> DownloadEnv<'_> {
+        DownloadEnv {
+            network: &self.network,
+            plan: &self.plan,
+            policy: &self.policy,
+            decoder: &self.decoder,
+            fault_base: 0,
+        }
+    }
+}
+
+/// Steps one segment's download through the session core to its outcome.
+fn download(
+    core: &mut SessionCore,
+    env: &DownloadEnv<'_>,
+    segment: usize,
+    request: &mut dyn FnMut(usize) -> f64,
+) -> DownloadOutcome {
+    let mut st = core.begin_download(env, segment);
+    loop {
+        if let Some(out) = core.step_download(env, &mut st, request, &mut NoopRecorder) {
+            return out;
+        }
+    }
+}
 
 fn chaos_session(scheme: Scheme, faults: &FaultPlan, policy: &RetryPolicy) -> SessionMetrics {
     let catalog = VideoCatalog::paper_default();
@@ -133,8 +180,9 @@ fn timeout_burns_exactly_the_attempt_budget() {
         backoff_cap_sec: 2.0,
         segment_deadline_sec: 10.0,
     };
-    let mut s = ResilientSession::new(net, FaultPlan::none(), policy, 3.0);
-    let out = s.download_segment(0, &mut |_| 1.0e6);
+    let link = Link::new(net, FaultPlan::none(), policy);
+    let mut s = SessionCore::new(3.0);
+    let out = download(&mut s, &link.env(), 0, &mut |_| 1.0e6);
     match out {
         DownloadOutcome::Skipped {
             elapsed_sec,
@@ -172,8 +220,9 @@ fn backoff_schedule_is_exact_on_the_session_clock() {
         segment_deadline_sec: 60.0,
     };
     let net = NetworkTrace::from_samples(vec![8.0e6; 120]);
-    let mut s = ResilientSession::new(net, plan, policy, 3.0);
-    let out = s.download_segment(0, &mut |_| 1.0e6);
+    let link = Link::new(net, plan, policy);
+    let mut s = SessionCore::new(3.0);
+    let out = download(&mut s, &link.env(), 0, &mut |_| 1.0e6);
     assert!(!out.is_delivered());
     // 4 attempts × 1 s timeouts + backoffs 0.25 + 0.5 + 0.75 (capped).
     let expected = 4.0 * 1.0 + 0.25 + 0.5 + 0.75;
@@ -199,9 +248,10 @@ fn abandon_requests_the_next_rung_down() {
         backoff_cap_sec: 1.0,
         segment_deadline_sec: 20.0,
     };
-    let mut s = ResilientSession::new(net, plan, policy, 3.0);
+    let link = Link::new(net, plan, policy);
+    let mut s = SessionCore::new(3.0);
     let mut requested = Vec::new();
-    let out = s.download_segment(0, &mut |rung| {
+    let out = download(&mut s, &link.env(), 0, &mut |rung| {
         let bits = 8.0e6 / (1u64 << rung) as f64;
         requested.push((rung, bits));
         bits
@@ -237,12 +287,13 @@ fn skip_charges_rebuffer_and_moves_on() {
         backoff_cap_sec: 1.0,
         segment_deadline_sec: 5.0,
     };
-    let mut s = ResilientSession::new(net, FaultPlan::none(), policy, 3.0);
+    let link = Link::new(net, FaultPlan::none(), policy);
+    let mut s = SessionCore::new(3.0);
     for k in 0..2 {
-        assert!(s.download_segment(k, &mut |_| 1.0e6).is_delivered());
+        assert!(download(&mut s, &link.env(), k, &mut |_| 1.0e6).is_delivered());
     }
     let before = s.segments_completed();
-    let out = s.download_segment(2, &mut |_| 100.0e6);
+    let out = download(&mut s, &link.env(), 2, &mut |_| 100.0e6);
     match out {
         DownloadOutcome::Skipped { blackout_sec, .. } => {
             assert!(

@@ -2,7 +2,7 @@
 //! stand-in for the loop engine.
 //!
 //! `ee360::core::fleet` drives full paper sessions from a discrete-event
-//! queue; `run_session_resilient_traced` runs the same sessions as
+//! queue; `run_session_traced` runs the same sessions as
 //! closed loops. These tests pin them **bit-identical** — per-session
 //! metrics JSON (every QoE/energy/stall f64), the per-session
 //! QoE/energy/stall tuples and `ResilienceCounters` by exact bits, the
@@ -16,9 +16,9 @@
 use std::sync::OnceLock;
 
 use ee360::abr::controller::Scheme;
-use ee360::core::client::{run_session_resilient_traced, SessionSetup};
+use ee360::core::client::{make_controller, run_session_traced, SessionSetup};
 use ee360::core::experiment::{Evaluation, ExperimentConfig};
-use ee360::core::fleet::fleet_sessions_traced;
+use ee360::core::fleet::{fleet_sessions_traced, run_fleet_traced};
 use ee360::obs::{export, Level, Record, Recorder};
 use ee360::sim::metrics::SessionMetrics;
 use ee360::sim::resilience::RetryPolicy;
@@ -61,8 +61,9 @@ fn loop_reference(
     let mut sessions = Vec::with_capacity(users.len());
     for user in users {
         let mut session_rec = Recorder::new(level);
-        let metrics = run_session_resilient_traced(
-            scheme,
+        let mut controller = make_controller(scheme, eval.config().phone);
+        let metrics = run_session_traced(
+            controller.as_mut(),
             &SessionSetup {
                 server,
                 user,
@@ -217,7 +218,15 @@ fn fleet_outcome_aggregate_matches_run_traced() {
     let mut loop_rec = Recorder::new(Level::Detail);
     let loop_outcome = eval.run_traced(2, Scheme::Ours, &faults, &policy, &mut loop_rec);
     let mut fleet_rec = Recorder::new(Level::Detail);
-    let fleet_outcome = eval.run_fleet_traced(2, Scheme::Ours, &faults, &policy, &mut fleet_rec);
+    let fleet_outcome = run_fleet_traced(
+        &eval,
+        2,
+        Scheme::Ours,
+        &faults,
+        &policy,
+        eval.session_threads(),
+        &mut fleet_rec,
+    );
     assert_eq!(
         to_string(&fleet_outcome).unwrap(),
         to_string(&loop_outcome).unwrap(),

@@ -7,6 +7,12 @@
 //! bounded waves) — if anyone reintroduces a per-segment vector or
 //! starts retaining `SessionMetrics`, the peak jumps by orders of
 //! magnitude and this test fails loudly.
+//!
+//! The allocator counts every thread's heap in one process-wide peak, so
+//! the budget tests take [`BUDGET_LOCK`] and run one at a time: each
+//! peak then holds only its own fleet, whatever `--test-threads` says.
+
+use std::sync::{Mutex, PoisonError};
 
 use ee360_obs::TelemetryConfig;
 use ee360_sim::fleet::{run_scale_fleet, run_scale_fleet_telemetry, FleetConfig};
@@ -16,6 +22,10 @@ use ee360_trace::network::NetworkTrace;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
+
+/// Serialises the budget tests. Poison-tolerant: one test failing must
+/// not turn the other into a lock error.
+static BUDGET_LOCK: Mutex<()> = Mutex::new(());
 
 const SESSIONS: usize = 100_000;
 const SEGMENTS: usize = 6;
@@ -42,6 +52,7 @@ const TELEMETRY_ALLOWANCE_BYTES: usize = 768;
 
 #[test]
 fn fleet_of_100k_sessions_stays_in_budget() {
+    let _serial = BUDGET_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let network = NetworkTrace::paper_trace2(300, 17);
     let faults = FaultPlan::generate(FaultConfig::chaos_default(), 300.0, 23).and_outage(50.0, 5.0);
     let config = FleetConfig::new(SESSIONS, SEGMENTS, 2022);
@@ -61,6 +72,7 @@ fn fleet_of_100k_sessions_stays_in_budget() {
 
 #[test]
 fn fleet_of_100k_sessions_with_telemetry_stays_in_budget() {
+    let _serial = BUDGET_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let network = NetworkTrace::paper_trace2(300, 17);
     let faults = FaultPlan::generate(FaultConfig::chaos_default(), 300.0, 23).and_outage(50.0, 5.0);
     let config =
