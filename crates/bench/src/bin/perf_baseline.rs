@@ -48,7 +48,7 @@ use ee360_core::server::VideoServer;
 use ee360_geom::grid::TileGrid;
 use ee360_obs::{Level, NoopRecorder, Recorder, TelemetryConfig};
 use ee360_power::model::Phone;
-use ee360_sim::fleet::{run_scale_fleet, run_scale_fleet_telemetry, FleetConfig};
+use ee360_sim::fleet::{run_scale_fleet, FleetConfig};
 use ee360_sim::resilience::RetryPolicy;
 use ee360_support::json::{parse, to_string_pretty, Json};
 use ee360_support::parallel::hardware_threads;
@@ -408,7 +408,7 @@ fn main() {
         FaultPlan::generate(FaultConfig::chaos_default(), 300.0, 42).and_outage(40.0, 6.0);
     let fleet_config = FleetConfig::new(fleet_sessions, fleet_segments, 2022).with_threads(threads);
     let t = Instant::now();
-    let (fleet_report, _fleet_stats) = run_scale_fleet(
+    let (fleet_report, _fleet_stats, _) = run_scale_fleet(
         &fleet_config,
         &fleet_network,
         &fleet_faults,
@@ -454,15 +454,13 @@ fn main() {
                 .with_telemetry(TelemetryConfig::standard());
             let t = Instant::now();
             let mut rec = Recorder::new(Level::Summary);
-            let out =
-                run_scale_fleet_telemetry(&off_config, &fleet_network, &fleet_faults, &mut rec);
+            let out = run_scale_fleet(&off_config, &fleet_network, &fleet_faults, &mut rec);
             std::hint::black_box(&out);
             off_sum += t.elapsed().as_secs_f64();
 
             let t = Instant::now();
             let mut rec = Recorder::new(Level::Summary);
-            let out =
-                run_scale_fleet_telemetry(&on_config, &fleet_network, &fleet_faults, &mut rec);
+            let out = run_scale_fleet(&on_config, &fleet_network, &fleet_faults, &mut rec);
             std::hint::black_box(&out);
             on_sum += t.elapsed().as_secs_f64();
         }

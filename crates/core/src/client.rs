@@ -351,20 +351,9 @@ impl<'a> SessionRunner<'a> {
         self.core.clock_sec()
     }
 
-    /// Index of the segment currently planned or about to be planned.
-    pub fn segment_index(&self) -> usize {
-        self.k
-    }
-
     /// Number of segment slots this session will run.
     pub fn segment_count(&self) -> usize {
         self.n
-    }
-
-    /// `true` while a download opened by [`Self::plan_segment`] has not
-    /// yet produced its outcome.
-    pub fn in_flight(&self) -> bool {
-        self.pending.is_some()
     }
 
     /// Plans the next segment (phases 1–4: prediction, Ptile/Ftile
@@ -862,22 +851,6 @@ impl<'a> SessionRunner<'a> {
         rec.span_close(self.core.clock_sec());
         self.metrics
     }
-}
-
-/// Convenience: the viewport the user actually saw at a segment.
-pub fn actual_viewport(user: &HeadTrace, segment: usize) -> Option<Viewport> {
-    user.segment_center(segment)
-        .map(|c| Viewport::new(c, 100.0, 100.0))
-}
-
-/// Convenience: whether `center`'s FoV block is fully inside `region`.
-pub fn block_covered(
-    grid: &ee360_geom::grid::TileGrid,
-    region: &TileRegion,
-    center: ViewCenter,
-) -> bool {
-    let block = grid.fov_block(&Viewport::new(center, 100.0, 100.0));
-    block.iter().all(|t| region.contains(*t))
 }
 
 #[cfg(test)]

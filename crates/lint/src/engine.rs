@@ -75,7 +75,6 @@ impl Default for Config {
             RuleId::DeterminismTaint.id(),
             own(&[
                 "sim::fleet::run_scale_fleet",
-                "sim::fleet::run_scale_fleet_telemetry",
                 "abr::mpc::MpcController::plan",
                 "core::client::run_session",
                 "core::client::run_session_resilient",

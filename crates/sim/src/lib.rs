@@ -20,10 +20,14 @@
 //!   aggregates (energy breakdown, QoE decomposition, stall statistics),
 //! * [`error`] — the [`error::SimError`] taxonomy the fallible pipeline
 //!   trades in (timeouts, losses, corruption, exhausted deadlines),
-//! * [`multiclient`] — many clients sharing one bottleneck link,
+//! * [`multiclient`] — many clients sharing one benign bottleneck link
+//!   (processor sharing, no faults: the retry ladder lives only in
+//!   [`resilience`]),
 //! * [`fleet`] — the discrete-event fleet engine: many sessions on one
 //!   logical-time queue with O(100 B) hot state each, deterministically
-//!   sharded and bit-identical to the loop engine at any thread count.
+//!   sharded and bit-identical to the loop engine at any thread count;
+//!   [`fleet::run_scale_fleet`] is the one scale-fleet entry, with or
+//!   without telemetry.
 //!
 //! # Example
 //!

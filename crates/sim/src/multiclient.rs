@@ -12,22 +12,17 @@
 //! `(segment, buffer, bandwidth estimate) → bits`, so any controller can
 //! be adapted without this crate depending on the ABR layer.
 //!
-//! Every client runs through a shared [`FaultPlan`] under a
-//! [`RetryPolicy`]: cell-wide outages zero the shared capacity, lost
-//! requests burn their timeout, corrupt payloads are refetched, and
-//! clients that exhaust a segment's retries or deadline skip it rather
-//! than wedging the whole cell. `FaultPlan::none()` with
-//! `RetryPolicy::disabled()` is the benign, wait-forever cell.
+//! The cell is benign: every request completes, however slowly. Faults,
+//! timeouts and the retry/skip ladder live in one place,
+//! [`crate::resilience::SessionCore::step_download`], which prices each
+//! attempt in one step over a fixed bandwidth trace; a shared-link
+//! attempt instead slows down whenever a neighbour joins, so this model
+//! keeps its own tick loop and leaves fault studies to the single-session
+//! and fleet engines.
 
 use ee360_obs::Record;
-use ee360_trace::fault::FaultPlan;
 use ee360_trace::network::NetworkTrace;
 use ee360_video::segment::SEGMENT_DURATION_SEC;
-
-use crate::resilience::RetryPolicy;
-
-/// Decorrelates per-attempt fault draws between clients sharing one plan.
-const CLIENT_FAULT_STRIDE: usize = 100_000;
 
 /// Configuration of the shared-link simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,7 +50,7 @@ impl Default for MulticlientConfig {
 pub struct ClientOutcome {
     /// Index of the client in the input order.
     pub client_id: usize,
-    /// Segments the client advanced past (completed plus skipped).
+    /// Segments the client completed.
     pub segments: usize,
     /// Mean throughput experienced across downloads, bits per second.
     pub mean_throughput_bps: f64,
@@ -65,12 +60,6 @@ pub struct ClientOutcome {
     pub mean_bits_per_segment: f64,
     /// Wall-clock time when the client finished its last segment.
     pub finished_at_sec: f64,
-    /// Download attempts retried after a timeout, loss or corruption.
-    pub retries: usize,
-    /// Attempts abandoned because their per-request timer expired.
-    pub timeouts: usize,
-    /// Segments given up on after exhausting retries or the deadline.
-    pub skipped_segments: usize,
 }
 
 /// A per-segment planner: `(segment index, buffer seconds, bandwidth
@@ -84,13 +73,6 @@ struct ClientState<'a> {
     next_segment: usize,
     /// Remaining bits of the in-flight download (`None` while waiting).
     downloading: Option<(f64, f64, f64)>, // (remaining, total, started_at)
-    /// The in-flight request vanished: it holds no capacity and can only
-    /// end by timing out.
-    in_flight_lost: bool,
-    /// Zero-based attempt number for the current segment.
-    attempt: usize,
-    /// When the current segment's first attempt was issued.
-    segment_started: f64,
     wait_until: f64,
     est_bps: f64,
     started_playing: bool,
@@ -99,46 +81,10 @@ struct ClientState<'a> {
     download_time: f64,
     stall: f64,
     finished_at: f64,
-    retries: usize,
-    timeouts: usize,
-    skipped: usize,
-    completed: usize,
     done: bool,
 }
 
-impl ClientState<'_> {
-    /// The decorrelated key for this client's current segment in the
-    /// shared fault plan.
-    fn fault_key(&self, client_id: usize) -> usize {
-        client_id * CLIENT_FAULT_STRIDE + self.next_segment
-    }
-
-    /// Ends the current attempt in failure; schedules the retry backoff
-    /// or, when retries/deadline are exhausted, skips the segment.
-    fn fail_attempt(&mut self, now: f64, policy: &RetryPolicy, config: &MulticlientConfig) {
-        self.downloading = None;
-        self.in_flight_lost = false;
-        let deadline_blown = now - self.segment_started >= policy.segment_deadline_sec;
-        if self.attempt >= policy.max_retries || deadline_blown {
-            // Skip: move on without buffer credit; playback will drain
-            // (and stall) naturally.
-            self.skipped += 1;
-            self.attempt = 0;
-            self.next_segment += 1;
-            if self.next_segment >= config.segments {
-                self.done = true;
-                self.finished_at = now;
-            }
-        } else {
-            self.retries += 1;
-            self.wait_until = now + policy.backoff_sec(self.attempt);
-            self.attempt += 1;
-        }
-    }
-}
-
-/// Runs `K` clients over a shared link through a [`FaultPlan`] under a
-/// [`RetryPolicy`].
+/// Runs `K` clients over a shared link.
 ///
 /// Each element of `planners` maps `(segment index, buffer seconds,
 /// bandwidth estimate bps)` to the bits to download for that segment. The
@@ -146,11 +92,8 @@ impl ClientState<'_> {
 /// sample; afterwards each client estimates from its own observed
 /// throughput (exponential moving average, α = 0.3).
 ///
-/// Outages in the plan zero the *shared* capacity (the whole cell goes
-/// dark); per-attempt faults (loss, corruption) are drawn per client with
-/// decorrelated keys so one plan exercises `K` independent fates. Clients
-/// retry with backoff and skip segments whose retries or deadline run
-/// out, so a finite fault plan can never wedge the simulation.
+/// The loop stops at `60 s` per segment plus `600 s` even if some client
+/// has not finished, so a trace with no capacity cannot hang it.
 ///
 /// After the tick loop finishes, the per-client outcomes are merged into
 /// `rec` in client order (`multiclient.*` counters and histograms).
@@ -166,8 +109,6 @@ pub fn simulate_shared_link<'a>(
     capacity: &NetworkTrace,
     config: MulticlientConfig,
     planners: Vec<Planner<'a>>,
-    faults: &FaultPlan,
-    policy: &RetryPolicy,
     rec: &mut dyn Record,
 ) -> Vec<ClientOutcome> {
     assert!(!planners.is_empty(), "need at least one client");
@@ -187,9 +128,6 @@ pub fn simulate_shared_link<'a>(
             buffer_sec: 0.0,
             next_segment: 0,
             downloading: None,
-            in_flight_lost: false,
-            attempt: 0,
-            segment_started: 0.0,
             wait_until: 0.0,
             est_bps: initial_share,
             started_playing: false,
@@ -197,10 +135,6 @@ pub fn simulate_shared_link<'a>(
             download_time: 0.0,
             stall: 0.0,
             finished_at: 0.0,
-            retries: 0,
-            timeouts: 0,
-            skipped: 0,
-            completed: 0,
             done: false,
         })
         .collect();
@@ -212,7 +146,7 @@ pub fn simulate_shared_link<'a>(
 
     while clients.iter().any(|c| !c.done) && t < max_time {
         // 1. Start pending downloads.
-        for (id, c) in clients.iter_mut().enumerate() {
+        for c in clients.iter_mut() {
             if c.done || c.downloading.is_some() || t + 1e-12 < c.wait_until {
                 continue;
             }
@@ -221,39 +155,24 @@ pub fn simulate_shared_link<'a>(
                 bits.is_finite() && bits > 0.0,
                 "planner must return positive bits"
             );
-            if c.attempt == 0 {
-                c.segment_started = t;
-            }
-            c.in_flight_lost = faults.segment_lost(c.fault_key(id), c.attempt);
             c.downloading = Some((bits, bits, t));
         }
 
-        // 2. Share capacity among active (non-lost) downloads; an outage
-        //    takes the whole cell dark.
-        let cell_bps = if faults.in_outage(t) {
-            0.0
-        } else {
-            capacity.bandwidth_at(t)
-        };
+        // 2. Share capacity equally among active downloads.
+        let cell_bps = capacity.bandwidth_at(t);
         let active = clients
             .iter()
-            .filter(|c| !c.done && c.downloading.is_some() && !c.in_flight_lost)
+            .filter(|c| !c.done && c.downloading.is_some())
             .count();
         if active > 0 && cell_bps > 0.0 {
             let share = cell_bps / active as f64 * tick;
-            for (id, c) in clients.iter_mut().enumerate() {
-                if c.done || c.in_flight_lost {
+            for c in clients.iter_mut() {
+                if c.done {
                     continue;
                 }
                 if let Some((remaining, total, started)) = c.downloading {
                     let left = remaining - share;
                     if left <= 0.0 {
-                        // Segment completed this tick — unless it arrives
-                        // corrupt and must be refetched.
-                        if faults.segment_corrupt(c.fault_key(id), c.attempt) {
-                            c.fail_attempt(t + tick, policy, &config);
-                            continue;
-                        }
                         let elapsed = (t + tick - started).max(tick);
                         c.total_bits += total;
                         c.download_time += elapsed;
@@ -262,8 +181,6 @@ pub fn simulate_shared_link<'a>(
                         c.buffer_sec += SEGMENT_DURATION_SEC;
                         c.started_playing = true;
                         c.next_segment += 1;
-                        c.completed += 1;
-                        c.attempt = 0;
                         c.downloading = None;
                         if c.next_segment >= config.segments {
                             c.done = true;
@@ -278,21 +195,7 @@ pub fn simulate_shared_link<'a>(
             }
         }
 
-        // 3. Expire attempts whose per-request timer ran out (lost
-        //    requests can only end here).
-        for c in clients.iter_mut() {
-            if c.done {
-                continue;
-            }
-            if let Some((_, _, started)) = c.downloading {
-                if t + tick - started >= policy.attempt_timeout_sec {
-                    c.timeouts += 1;
-                    c.fail_attempt(t + tick, policy, &config);
-                }
-            }
-        }
-
-        // 4. Playback drains buffers; empty buffers stall.
+        // 3. Playback drains buffers; empty buffers stall.
         for c in clients.iter_mut() {
             if c.done {
                 continue;
@@ -319,11 +222,8 @@ pub fn simulate_shared_link<'a>(
                 0.0
             },
             total_stall_sec: c.stall,
-            mean_bits_per_segment: c.total_bits / c.completed.max(1) as f64,
+            mean_bits_per_segment: c.total_bits / c.next_segment.max(1) as f64,
             finished_at_sec: c.finished_at,
-            retries: c.retries,
-            timeouts: c.timeouts,
-            skipped_segments: c.skipped,
         })
         .collect();
     rec.count("multiclient.clients", outcomes.len() as u64);
@@ -333,9 +233,6 @@ pub fn simulate_shared_link<'a>(
         // whole-run registry sees the identical statement and value.
         let t = o.finished_at_sec;
         rec.count_at("multiclient.segments", t, o.segments as u64);
-        rec.count_at("multiclient.retries", t, o.retries as u64);
-        rec.count_at("multiclient.timeouts", t, o.timeouts as u64);
-        rec.count_at("multiclient.skipped_segments", t, o.skipped_segments as u64);
         rec.observe_at("multiclient.stall_sec", t, o.total_stall_sec);
         rec.observe_at("multiclient.throughput_bps", t, o.mean_throughput_bps);
         rec.observe_at("multiclient.finished_at_sec", t, o.finished_at_sec);
@@ -347,22 +244,14 @@ pub fn simulate_shared_link<'a>(
 mod tests {
     use super::*;
     use ee360_obs::NoopRecorder;
-    use ee360_trace::fault::FaultConfig;
 
-    /// The benign, wait-forever cell: no faults, nothing recorded.
+    /// A shared-link run with nothing recorded.
     fn benign_link(
         capacity: &NetworkTrace,
         config: MulticlientConfig,
         planners: Vec<Planner<'_>>,
     ) -> Vec<ClientOutcome> {
-        simulate_shared_link(
-            capacity,
-            config,
-            planners,
-            &FaultPlan::none(),
-            &RetryPolicy::disabled(),
-            &mut NoopRecorder,
-        )
+        simulate_shared_link(capacity, config, planners, &mut NoopRecorder)
     }
 
     fn constant_net(bps: f64) -> NetworkTrace {
@@ -403,10 +292,6 @@ mod tests {
             "throughput {}",
             out[0].mean_throughput_bps
         );
-        // The benign path records a clean resilience story.
-        assert_eq!(out[0].retries, 0);
-        assert_eq!(out[0].timeouts, 0);
-        assert_eq!(out[0].skipped_segments, 0);
     }
 
     #[test]
@@ -510,150 +395,101 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    #[test]
-    fn cell_outage_forces_retries_but_every_client_finishes() {
-        // A 12 s blackout mid-run: clients must time out, retry or skip,
-        // and the run must still terminate with everyone done.
-        let faults = FaultPlan::single_outage(5.0, 12.0);
-        let policy = RetryPolicy {
-            attempt_timeout_sec: 3.0,
-            max_retries: 2,
-            segment_deadline_sec: 8.0,
-            ..RetryPolicy::default_mobile()
-        };
-        let out = simulate_shared_link(
-            &constant_net(8.0e6),
-            MulticlientConfig {
-                segments: 30,
-                ..Default::default()
-            },
-            vec![fixed_planner(2.0e6), fixed_planner(2.0e6)],
-            &faults,
-            &policy,
-            &mut NoopRecorder,
-        );
-        for o in &out {
-            assert_eq!(o.segments, 30, "client {} wedged", o.client_id);
-            assert!(
-                o.timeouts >= 1,
-                "client {} should have timed out in the blackout",
-                o.client_id
-            );
-        }
-        let skipped: usize = out.iter().map(|o| o.skipped_segments).sum();
-        let retries: usize = out.iter().map(|o| o.retries).sum();
-        assert!(skipped + retries >= 1, "the blackout must leave a trace");
+    /// Every surviving [`ClientOutcome`] field, floats as IEEE-754 bits:
+    /// `(client_id, segments, [throughput, stall, bits/segment, finish])`.
+    fn outcome_bits(out: &[ClientOutcome]) -> Vec<(usize, usize, [u64; 4])> {
+        out.iter()
+            .map(|o| {
+                (
+                    o.client_id,
+                    o.segments,
+                    [
+                        o.mean_throughput_bps.to_bits(),
+                        o.total_stall_sec.to_bits(),
+                        o.mean_bits_per_segment.to_bits(),
+                        o.finished_at_sec.to_bits(),
+                    ],
+                )
+            })
+            .collect()
     }
 
+    /// Golden outcomes of two runs, floats as IEEE-754 bits: the
+    /// processor-sharing model must keep producing exactly these.
     #[test]
-    fn lossy_cell_is_survivable_and_deterministic() {
-        let faults = FaultPlan::none().with_attempt_faults(
-            FaultConfig {
-                loss_prob: 0.3,
-                corruption_prob: 0.1,
-                ..FaultConfig::none()
-            },
-            17,
+    fn benign_outcomes_are_pinned() {
+        let adaptive = benign_link(
+            &NetworkTrace::paper_trace2(200, 9),
+            MulticlientConfig::default(),
+            vec![adaptive_planner(), adaptive_planner()],
         );
-        let policy = RetryPolicy {
-            attempt_timeout_sec: 2.0,
-            ..RetryPolicy::default_mobile()
-        };
-        let run = || {
-            simulate_shared_link(
-                &constant_net(8.0e6),
-                MulticlientConfig {
-                    segments: 25,
-                    ..Default::default()
-                },
-                vec![fixed_planner(2.0e6), fixed_planner(2.0e6)],
-                &faults,
-                &policy,
-                &mut NoopRecorder,
-            )
-        };
-        let out = run();
-        assert_eq!(out, run(), "same plan, same fates");
-        for o in &out {
-            assert_eq!(o.segments, 25);
-            assert!(o.retries >= 1, "30% loss must force retries");
-        }
-        // Decorrelated keys: the two clients should not share one fate.
-        assert_ne!(
-            (out[0].retries, out[0].timeouts),
-            (out[1].retries, out[1].timeouts),
-            "clients must draw independent per-attempt faults"
-        );
-    }
-
-    #[test]
-    fn hopeless_cell_skips_everything_but_terminates() {
-        // Radio dead the whole run: every segment must be skipped in
-        // bounded wall-clock, not hung.
-        let faults = FaultPlan::single_outage(0.0, 10_000.0);
-        let policy = RetryPolicy {
-            attempt_timeout_sec: 2.0,
-            max_retries: 1,
-            segment_deadline_sec: 5.0,
-            ..RetryPolicy::default_mobile()
-        };
-        let out = simulate_shared_link(
-            &constant_net(8.0e6),
+        let oversubscribed = benign_link(
+            &constant_net(6.0e6),
             MulticlientConfig {
-                segments: 10,
+                segments: 20,
                 ..Default::default()
             },
-            vec![fixed_planner(2.0e6)],
-            &faults,
-            &policy,
-            &mut NoopRecorder,
+            vec![
+                fixed_planner(4.0e6),
+                fixed_planner(4.0e6),
+                fixed_planner(4.0e6),
+            ],
         );
-        assert_eq!(out[0].skipped_segments, 10);
-        assert_eq!(out[0].segments, 10);
-        assert!((out[0].mean_throughput_bps - 0.0).abs() < 1e-9);
+        // Both clients of each run see identical fates (same planner,
+        // same share), so every row repeats.
+        let adaptive_row = [
+            4701469344727732695,
+            4609884578576439707,
+            4701701838941270806,
+            4633866246592187682,
+        ];
+        assert_eq!(
+            outcome_bits(&adaptive),
+            vec![(0, 60, adaptive_row), (1, 60, adaptive_row)]
+        );
+        let oversubscribed_row = [
+            4701340746312056768,
+            4625506439783881106,
+            4705844345939427328,
+            4630826316843712554,
+        ];
+        assert_eq!(
+            outcome_bits(&oversubscribed),
+            vec![
+                (0, 20, oversubscribed_row),
+                (1, 20, oversubscribed_row),
+                (2, 20, oversubscribed_row),
+            ]
+        );
     }
 
     #[test]
     fn traced_run_reconciles_and_matches_untraced() {
-        let faults = FaultPlan::none().with_attempt_faults(
-            FaultConfig {
-                loss_prob: 0.3,
-                corruption_prob: 0.1,
-                ..FaultConfig::none()
-            },
-            17,
-        );
-        let policy = RetryPolicy {
-            attempt_timeout_sec: 2.0,
-            ..RetryPolicy::default_mobile()
+        let run = |rec: &mut dyn Record| {
+            simulate_shared_link(
+                &constant_net(6.0e6),
+                MulticlientConfig {
+                    segments: 20,
+                    ..Default::default()
+                },
+                vec![
+                    fixed_planner(4.0e6),
+                    fixed_planner(4.0e6),
+                    fixed_planner(4.0e6),
+                ],
+                rec,
+            )
         };
-        let config = MulticlientConfig {
-            segments: 25,
-            ..Default::default()
-        };
-        let plain = simulate_shared_link(
-            &constant_net(8.0e6),
-            config,
-            vec![fixed_planner(2.0e6), fixed_planner(2.0e6)],
-            &faults,
-            &policy,
-            &mut NoopRecorder,
-        );
+        let plain = run(&mut NoopRecorder);
         let mut rec = ee360_obs::Recorder::new(ee360_obs::Level::Detail);
-        let traced = simulate_shared_link(
-            &constant_net(8.0e6),
-            config,
-            vec![fixed_planner(2.0e6), fixed_planner(2.0e6)],
-            &faults,
-            &policy,
-            &mut rec,
-        );
+        let traced = run(&mut rec);
         assert_eq!(plain, traced, "recorder must be write-only");
         let reg = rec.registry();
-        assert_eq!(reg.counter("multiclient.clients"), 2);
-        let retries: usize = traced.iter().map(|o| o.retries).sum();
-        assert_eq!(reg.counter("multiclient.retries"), retries as u64);
+        assert_eq!(reg.counter("multiclient.clients"), 3);
+        let segments: usize = traced.iter().map(|o| o.segments).sum();
+        assert_eq!(reg.counter("multiclient.segments"), segments as u64);
         let stall: f64 = traced.iter().map(|o| o.total_stall_sec).sum();
+        assert!(stall > 0.0, "the oversubscribed cell must stall");
         assert_eq!(reg.hist_sum("multiclient.stall_sec"), stall);
     }
 

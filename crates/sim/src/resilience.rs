@@ -86,7 +86,7 @@ ee360_support::impl_json_struct!(RetryPolicy {
 impl RetryPolicy {
     /// A sane mobile-client default: 4 s per attempt, 3 retries, 0.25 s
     /// backoff doubling to a 2 s cap, 12 s total per segment.
-    pub fn default_mobile() -> Self {
+    pub const fn default_mobile() -> Self {
         Self {
             attempt_timeout_sec: 4.0,
             max_retries: 3,

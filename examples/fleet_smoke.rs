@@ -30,8 +30,7 @@
 
 use ee360::obs::{default_slos, export, Level, Recorder, SloSpec, TelemetryConfig};
 use ee360::sim::fleet::{
-    fleet_timeseries_json, run_scale_fleet_telemetry, EngineStats, FleetConfig, FleetReport,
-    FleetTelemetry,
+    fleet_timeseries_json, run_scale_fleet, EngineStats, FleetConfig, FleetReport, FleetTelemetry,
 };
 use ee360::trace::fault::{FaultConfig, FaultPlan};
 use ee360::trace::network::NetworkTrace;
@@ -93,8 +92,7 @@ fn run(threads: usize, args: &SmokeArgs) -> RunOut {
         .with_threads(threads)
         .with_telemetry(args.telemetry);
     let mut rec = Recorder::new(Level::Summary);
-    let (report, stats, telemetry) =
-        run_scale_fleet_telemetry(&config, &network, &faults, &mut rec);
+    let (report, stats, telemetry) = run_scale_fleet(&config, &network, &faults, &mut rec);
     let report_json = to_string(&report).expect("fleet report serializes");
     let obs_json = to_string(&export::report_json(&rec)).expect("obs report serializes");
     let timeseries_json = telemetry.as_ref().map(|tel| {

@@ -72,6 +72,11 @@ for key in robust.margin_applied robust.widened_plans robust.coverage_miss_saved
     || { echo "obs report missing robust key: ${key}" >&2; exit 1; }
 done
 
+echo "==> shared-link smoke (cell_contention: K clients on one benign cell)"
+# Runs the sim::multiclient processor-sharing model over the full
+# population sweep; set -e fails the gate on any panic or non-zero exit.
+cargo run --release --offline --example cell_contention
+
 echo "==> fleet equivalence (blocking: event engine vs loop engine, full paper matrix)"
 # The event-driven fleet engine must be bit-identical to the loop
 # engine. The quick tier already ran in the workspace test pass above;

@@ -15,7 +15,7 @@
 use std::sync::{Mutex, PoisonError};
 
 use ee360_obs::TelemetryConfig;
-use ee360_sim::fleet::{run_scale_fleet, run_scale_fleet_telemetry, FleetConfig};
+use ee360_sim::fleet::{run_scale_fleet, FleetConfig};
 use ee360_support::alloc::CountingAlloc;
 use ee360_trace::fault::{FaultConfig, FaultPlan};
 use ee360_trace::network::NetworkTrace;
@@ -57,7 +57,7 @@ fn fleet_of_100k_sessions_stays_in_budget() {
     let faults = FaultPlan::generate(FaultConfig::chaos_default(), 300.0, 23).and_outage(50.0, 5.0);
     let config = FleetConfig::new(SESSIONS, SEGMENTS, 2022);
     let baseline = ALLOC.reset_peak();
-    let (report, _stats) =
+    let (report, _stats, _) =
         run_scale_fleet(&config, &network, &faults, &mut ee360_obs::NoopRecorder);
     let peak = ALLOC.peak_bytes().saturating_sub(baseline);
     assert_eq!(report.segments, SESSIONS * SEGMENTS, "every slot consumed");
@@ -79,7 +79,7 @@ fn fleet_of_100k_sessions_with_telemetry_stays_in_budget() {
         FleetConfig::new(SESSIONS, SEGMENTS, 2022).with_telemetry(TelemetryConfig::standard());
     let baseline = ALLOC.reset_peak();
     let (report, _stats, telemetry) =
-        run_scale_fleet_telemetry(&config, &network, &faults, &mut ee360_obs::NoopRecorder);
+        run_scale_fleet(&config, &network, &faults, &mut ee360_obs::NoopRecorder);
     let peak = ALLOC.peak_bytes().saturating_sub(baseline);
     assert_eq!(report.segments, SESSIONS * SEGMENTS, "every slot consumed");
     let tel = telemetry.expect("telemetry requested");

@@ -290,7 +290,7 @@ fn robust_counters_reconcile_exactly_with_controller_accounting() {
 #[test]
 fn fleet_window_series_reconciles_and_sampling_is_thread_independent() {
     use ee360::obs::TelemetryConfig;
-    use ee360::sim::fleet::{run_scale_fleet_telemetry, FleetConfig};
+    use ee360::sim::fleet::{run_scale_fleet, FleetConfig};
     let run = |threads: usize| {
         let network = NetworkTrace::paper_trace2(300, 9);
         let faults =
@@ -299,8 +299,7 @@ fn fleet_window_series_reconciles_and_sampling_is_thread_independent() {
             .with_threads(threads)
             .with_telemetry(TelemetryConfig::standard());
         let mut rec = Recorder::new(Level::Summary);
-        let (report, _stats, telemetry) =
-            run_scale_fleet_telemetry(&config, &network, &faults, &mut rec);
+        let (report, _stats, telemetry) = run_scale_fleet(&config, &network, &faults, &mut rec);
         (report, rec, telemetry.expect("telemetry requested"))
     };
     let (report, rec, tel) = run(1);

@@ -226,7 +226,7 @@ fn fleet_runs_are_byte_identical_across_replays() {
             FaultPlan::generate(FaultConfig::chaos_default(), 300.0, 13).and_outage(40.0, 6.0);
         let config = ee360::sim::fleet::FleetConfig::new(500, 10, 31).with_threads(threads);
         let mut rec = Recorder::new(Level::Summary);
-        let (report, _stats) =
+        let (report, _stats, _) =
             ee360::sim::fleet::run_scale_fleet(&config, &network, &faults, &mut rec);
         (
             to_string(&report).expect("fleet report serializes"),
@@ -280,7 +280,7 @@ fn fleet_runs_are_byte_identical_across_replays() {
 #[test]
 fn fleet_timeseries_artifact_is_byte_identical_across_threads() {
     use ee360::obs::{default_slos, TelemetryConfig};
-    use ee360::sim::fleet::{fleet_timeseries_json, run_scale_fleet_telemetry, FleetConfig};
+    use ee360::sim::fleet::{fleet_timeseries_json, run_scale_fleet, FleetConfig};
     let run = |threads: usize| {
         let network = NetworkTrace::paper_trace2(300, 9);
         let faults =
@@ -289,8 +289,7 @@ fn fleet_timeseries_artifact_is_byte_identical_across_threads() {
             .with_threads(threads)
             .with_telemetry(TelemetryConfig::standard());
         let mut rec = Recorder::new(Level::Summary);
-        let (report, _stats, telemetry) =
-            run_scale_fleet_telemetry(&config, &network, &faults, &mut rec);
+        let (report, _stats, telemetry) = run_scale_fleet(&config, &network, &faults, &mut rec);
         let tel = telemetry.expect("telemetry requested");
         to_string_pretty(&fleet_timeseries_json(
             &config,
