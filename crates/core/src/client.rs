@@ -34,7 +34,7 @@ use ee360_abr::plan::{PlanBuffers, SegmentContext, SegmentPlan};
 use ee360_abr::robust::RobustMpcController;
 use ee360_geom::grid::TileGrid;
 use ee360_geom::region::TileRegion;
-use ee360_geom::switching::SwitchingSample;
+use ee360_geom::switching::{fast_switching_speed, SwitchingSample};
 use ee360_geom::viewport::{ViewCenter, Viewport};
 use ee360_obs::profile::StageTimer;
 use ee360_obs::{Event, Level, NoopRecorder, Record};
@@ -88,21 +88,6 @@ pub fn make_controller(scheme: Scheme, phone: Phone) -> Box<dyn Controller> {
         }
         other => Box::new(RateBasedController::new(other)),
     }
-}
-
-/// The 75th percentile of per-interval switching speeds in a gaze window
-/// (0 when the window has fewer than two samples).
-fn fast_switching_speed(history: &[SwitchingSample]) -> f64 {
-    let mut speeds = ee360_geom::switching::switching_speeds(history);
-    if speeds.is_empty() {
-        return 0.0;
-    }
-    let idx = ((speeds.len() as f64) * 0.75).floor() as usize;
-    let idx = idx.min(speeds.len() - 1);
-    // Selection instead of a full sort: `total_cmp` is a total order, so
-    // the idx-th order statistic is the same value a sort would index.
-    let (_, kth, _) = speeds.select_nth_unstable_by(idx, |a, b| a.total_cmp(b));
-    *kth
 }
 
 /// Pixel-weighted fraction of what the user sees that a region stores —
@@ -245,6 +230,10 @@ pub struct SessionRunner<'a> {
     spare_upcoming: Vec<ee360_video::content::SiTi>,
     /// Recycled degradation-ladder vector, same lifecycle.
     spare_rungs: Vec<SegmentPlan>,
+    /// Recycled gaze window: the 2 s prediction history while planning,
+    /// then the played segment's samples while booking. Holds a window,
+    /// never the whole trace, and carries no state between uses.
+    history: Vec<SwitchingSample>,
 }
 
 impl<'a> SessionRunner<'a> {
@@ -301,6 +290,7 @@ impl<'a> SessionRunner<'a> {
             plan_buffers: PlanBuffers::new(),
             spare_upcoming: Vec::new(),
             spare_rungs: Vec::new(),
+            history: Vec::new(),
         }
     }
 
@@ -374,24 +364,24 @@ impl<'a> SessionRunner<'a> {
         }
         let k = self.k;
         let buffer = self.core.buffer_level_sec();
-        let samples = self.setup.user.switching_samples();
         let timeline = self.setup.server.timeline();
         // --- 1. viewport prediction from the playback-time history -----
-        // Trace samples are strictly increasing in time, so the 2 s gaze
-        // window is a contiguous run: two binary searches replace the
-        // full-trace scan, and the window is borrowed, not collected.
+        // Only the 2 s gaze window is converted, into the recycled
+        // buffer: O(log n + window) per segment, whatever the trace length.
         let playback_pos = (k as f64 - buffer).max(0.0);
-        let lo = samples.partition_point(|s| s.t_sec < playback_pos - 2.0);
-        let hi = samples.partition_point(|s| s.t_sec <= playback_pos + 1e-9);
-        let history: &[SwitchingSample] = &samples[lo..hi];
+        self.setup.user.switching_window_into(
+            playback_pos - 2.0,
+            playback_pos + 1e-9,
+            &mut self.history,
+        );
         let predicted = self
             .predictor
-            .predict(history, buffer.max(0.0))
-            .unwrap_or_else(|| samples.first().map(|s| s.center).unwrap_or_default());
+            .predict(&self.history, buffer.max(0.0))
+            .unwrap_or_else(|| self.setup.user.first_center().unwrap_or_default());
         // The controller plans frame-rate reduction around the *fast*
         // phases of the gaze (Eq. 4's blur argument): use the 75th
         // percentile of recent switching speeds, not the diluted mean.
-        let observed_s_fov = fast_switching_speed(history);
+        let observed_s_fov = fast_switching_speed(&self.history);
 
         // --- 2. Ptile lookup ------------------------------------------
         let covering = self.setup.server.covering_ptile(k, predicted);
@@ -722,11 +712,11 @@ impl<'a> SessionRunner<'a> {
                 );
             }
         }
-        let actual_s_fov = self
-            .setup
-            .user
-            .segment_fast_switching_speed(k)
-            .unwrap_or(pending.observed_s_fov);
+        let actual_s_fov = if self.setup.user.segment_window_into(k, &mut self.history) {
+            fast_switching_speed(&self.history)
+        } else {
+            pending.observed_s_fov
+        };
         let actual_vp = Viewport::new(actual, 100.0, 100.0);
         let frac = match (self.scheme, &pending.ptile_region) {
             (Scheme::Nontile, _) => 1.0,

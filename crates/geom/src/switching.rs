@@ -81,6 +81,24 @@ pub fn mean_switching_speed(samples: &[SwitchingSample]) -> f64 {
     }
 }
 
+/// The *fast* switching speed over a window of samples: the 75th
+/// percentile of its per-interval speeds, in degrees per second. Eq. 4's
+/// blur argument is about the fast phases of the gaze ("during fast view
+/// switching"), which a plain mean dilutes away. Returns `0.0` for
+/// windows with fewer than two samples.
+pub fn fast_switching_speed(samples: &[SwitchingSample]) -> f64 {
+    let mut speeds = switching_speeds(samples);
+    if speeds.is_empty() {
+        return 0.0;
+    }
+    let idx = ((speeds.len() as f64) * 0.75).floor() as usize;
+    let idx = idx.min(speeds.len() - 1);
+    // Selection instead of a full sort: `total_cmp` is a total order, so
+    // the idx-th order statistic is the same value a sort would index.
+    let (_, kth, _) = speeds.select_nth_unstable_by(idx, |a, b| a.total_cmp(b));
+    *kth
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,6 +155,23 @@ mod tests {
         assert_eq!(mean_switching_speed(&[]), 0.0);
         let one = [SwitchingSample::new(0.0, ViewCenter::default())];
         assert_eq!(mean_switching_speed(&one), 0.0);
+    }
+
+    #[test]
+    fn fast_speed_is_the_75th_percentile() {
+        // Interval speeds 10, 20, 30, 40 °/s: floor(0.75 * 4) = index 3.
+        let mut yaw = 0.0;
+        let mut samples = vec![SwitchingSample::new(0.0, ViewCenter::new(0.0, 0.0))];
+        for (i, step) in [30.0, 10.0, 40.0, 20.0].into_iter().enumerate() {
+            yaw += step;
+            samples.push(SwitchingSample::new(
+                (i + 1) as f64,
+                ViewCenter::new(yaw, 0.0),
+            ));
+        }
+        assert!((fast_switching_speed(&samples) - 40.0).abs() < 1e-9);
+        assert_eq!(fast_switching_speed(&samples[..1]), 0.0);
+        assert_eq!(fast_switching_speed(&[]), 0.0);
     }
 
     #[test]

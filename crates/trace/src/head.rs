@@ -27,7 +27,7 @@ use ee360_support::rng::StdRng;
 
 use ee360_geom::angles::{lerp_yaw_deg, wrap_yaw_deg};
 use ee360_geom::sphere::Orientation;
-use ee360_geom::switching::{mean_switching_speed, SwitchingSample};
+use ee360_geom::switching::{fast_switching_speed, mean_switching_speed, SwitchingSample};
 use ee360_geom::viewport::ViewCenter;
 use ee360_video::catalog::{BehaviorProfile, VideoSpec};
 
@@ -193,12 +193,51 @@ impl HeadTrace {
         self.samples.is_empty()
     }
 
-    /// All samples as [`SwitchingSample`]s.
+    /// All samples as [`SwitchingSample`]s: a trace-sized copy, for
+    /// whole-trace analyses. Per-segment code reads a window through
+    /// [`HeadTrace::switching_window_into`] instead.
     pub fn switching_samples(&self) -> Vec<SwitchingSample> {
         self.samples
             .iter()
             .map(|&(t, y, p)| SwitchingSample::new(t, ViewCenter::new(y, p)))
             .collect()
+    }
+
+    /// The gaze position of the first sample, or `None` for an empty
+    /// trace.
+    pub fn first_center(&self) -> Option<ViewCenter> {
+        self.samples.first().map(|&(_, y, p)| ViewCenter::new(y, p))
+    }
+
+    /// Replaces `out`'s contents with the samples whose time `t`
+    /// satisfies `from_sec <= t <= to_sec`, as [`SwitchingSample`]s.
+    ///
+    /// Timestamps are strictly increasing (enforced by
+    /// `try_from_samples`), so the window is a contiguous run found by two
+    /// binary searches: O(log n + window) work, and no allocation once
+    /// `out` has grown to the window's size. Bounds that select nothing
+    /// (`from_sec > to_sec`, NaN, a range outside the trace) leave `out`
+    /// empty.
+    pub fn switching_window_into(
+        &self,
+        from_sec: f64,
+        to_sec: f64,
+        out: &mut Vec<SwitchingSample>,
+    ) {
+        out.clear();
+        // A NaN bound would otherwise read as an open end of the range.
+        if from_sec.is_nan() || to_sec.is_nan() || from_sec > to_sec {
+            return;
+        }
+        let lo = self.samples.partition_point(|s| s.0 < from_sec);
+        let hi = self.samples.partition_point(|s| s.0 <= to_sec);
+        if let Some(window) = self.samples.get(lo..hi) {
+            out.extend(
+                window
+                    .iter()
+                    .map(|&(t, y, p)| SwitchingSample::new(t, ViewCenter::new(y, p))),
+            );
+        }
     }
 
     /// The gaze position at the start of segment `k` (the sample closest to
@@ -219,54 +258,36 @@ impl HeadTrace {
     /// Mean view-switching speed within segment `k`, degrees per second
     /// (the `S_fov` input of Eq. 4). `None` past the end of the trace.
     pub fn segment_switching_speed(&self, segment: usize) -> Option<f64> {
-        let t0 = segment as f64;
-        if t0 > self.duration_sec() {
-            return None;
-        }
-        Some(mean_switching_speed(&self.segment_window(t0)))
+        let mut window = Vec::new();
+        self.segment_window_into(segment, &mut window)
+            .then(|| mean_switching_speed(&window))
     }
 
-    /// The samples inside `[t0 - 1e-9, t0 + 1 + 1e-9]` as switching
-    /// samples. Timestamps are strictly increasing (enforced by
-    /// `try_from_samples`), so the window is a contiguous run found by two
-    /// binary searches rather than a full-trace scan.
-    fn segment_window(&self, t0: f64) -> Vec<SwitchingSample> {
-        let t1 = t0 + 1.0;
-        let lo = self.samples.partition_point(|s| s.0 < t0 - 1e-9);
-        let hi = self.samples.partition_point(|s| s.0 <= t1 + 1e-9);
-        self.samples[lo..hi]
-            .iter()
-            .map(|&(t, y, p)| SwitchingSample::new(t, ViewCenter::new(y, p)))
-            .collect()
+    /// The *fast* switching speed within segment `k` (see
+    /// [`fast_switching_speed`]). `None` past the end of the trace.
+    pub fn segment_fast_switching_speed(&self, segment: usize) -> Option<f64> {
+        let mut window = Vec::new();
+        self.segment_window_into(segment, &mut window)
+            .then(|| fast_switching_speed(&window))
+    }
+
+    /// Fills `out` with segment `k`'s samples, those inside
+    /// `[k - 1e-9, k + 1 + 1e-9]`. Returns `false` (and leaves `out`
+    /// empty) when the segment starts past the end of the trace.
+    pub fn segment_window_into(&self, segment: usize, out: &mut Vec<SwitchingSample>) -> bool {
+        let t0 = segment as f64;
+        if t0 > self.duration_sec() {
+            out.clear();
+            return false;
+        }
+        self.switching_window_into(t0 - 1e-9, t0 + 1.0 + 1e-9, out);
+        true
     }
 
     /// Per-interval switching speeds over the whole trace (Fig. 5's raw
     /// material), degrees per second.
     pub fn switching_speeds(&self) -> Vec<f64> {
         ee360_geom::switching::switching_speeds(&self.switching_samples())
-    }
-
-    /// The *fast* switching speed within segment `k`: the 75th percentile
-    /// of the within-segment speeds. Eq. 4's blur argument is about the
-    /// fast phases of the gaze ("during fast view switching"), which a
-    /// plain mean dilutes away. `None` past the end of the trace.
-    pub fn segment_fast_switching_speed(&self, segment: usize) -> Option<f64> {
-        let t0 = segment as f64;
-        if t0 > self.duration_sec() {
-            return None;
-        }
-        let window = self.segment_window(t0);
-        let mut speeds = ee360_geom::switching::switching_speeds(&window);
-        if speeds.is_empty() {
-            return Some(0.0);
-        }
-        let idx = ((speeds.len() as f64) * 0.75).floor() as usize;
-        let idx = idx.min(speeds.len() - 1);
-        // Selection instead of a full sort: under `total_cmp`'s total
-        // order the idx-th order statistic is the value a sort would
-        // index.
-        let (_, kth, _) = speeds.select_nth_unstable_by(idx, |a, b| a.total_cmp(b));
-        Some(*kth)
     }
 }
 
@@ -599,6 +620,7 @@ impl Default for HeadTraceGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ee360_support::prelude::*;
     use ee360_video::catalog::VideoCatalog;
 
     fn generator() -> HeadTraceGenerator {
@@ -733,6 +755,110 @@ mod tests {
         let trace = generator().generate(&spec, 2, 3);
         for s in trace.switching_samples() {
             assert!(s.center.pitch_deg().abs() <= 90.0);
+        }
+    }
+
+    /// A strictly increasing trace from `(dt, yaw, pitch)` steps
+    /// starting at `t0`.
+    fn trace_from_steps(t0: f64, steps: &[(f64, f64, f64)]) -> HeadTrace {
+        let mut t = t0;
+        let samples = steps
+            .iter()
+            .map(|&(dt, y, p)| {
+                t += dt;
+                (t, y, p)
+            })
+            .collect();
+        HeadTrace::from_samples(0, 0, samples)
+    }
+
+    fn sample_bits(s: &SwitchingSample) -> (u64, u64, u64) {
+        (
+            s.t_sec.to_bits(),
+            s.center.yaw_deg().to_bits(),
+            s.center.pitch_deg().to_bits(),
+        )
+    }
+
+    #[test]
+    fn first_center_is_the_first_sample() {
+        let trace = HeadTrace::from_samples(0, 0, vec![(0.0, 20.0, -5.0), (0.1, 30.0, 0.0)]);
+        assert_eq!(trace.first_center(), Some(ViewCenter::new(20.0, -5.0)));
+    }
+
+    #[test]
+    fn segment_window_past_the_end_is_none() {
+        let trace = HeadTrace::from_samples(0, 0, vec![(0.0, 0.0, 0.0), (1.5, 10.0, 0.0)]);
+        let mut out = vec![SwitchingSample::new(9.0, ViewCenter::default())];
+        assert!(trace.segment_window_into(1, &mut out));
+        assert_eq!(out.len(), 1);
+        assert!(!trace.segment_window_into(2, &mut out));
+        assert!(out.is_empty());
+        assert_eq!(trace.segment_fast_switching_speed(2), None);
+        assert_eq!(trace.segment_switching_speed(2), None);
+    }
+
+    proptest! {
+        #[test]
+        fn switching_window_matches_the_full_copy_slice(
+            t0 in -5.0f64..5.0,
+            steps in prop::collection::vec(
+                (0.001f64..0.5, -180.0f64..180.0, -90.0f64..90.0),
+                1..60,
+            ),
+            from_off in -2.0f64..32.0,
+            width in 0.0f64..6.0,
+        ) {
+            let trace = trace_from_steps(t0, &steps);
+            let from = t0 + from_off;
+            let to = from + width;
+            // The whole-trace copy and its two binary searches, as the
+            // per-segment paths used to take the window.
+            let all = trace.switching_samples();
+            let lo = all.partition_point(|s| s.t_sec < from);
+            let hi = all.partition_point(|s| s.t_sec <= to);
+            let expected: Vec<_> = all[lo..hi].iter().map(sample_bits).collect();
+            let mut out = vec![SwitchingSample::new(-1.0, ViewCenter::default()); 3];
+            trace.switching_window_into(from, to, &mut out);
+            let got: Vec<_> = out.iter().map(sample_bits).collect();
+            prop_assert_eq!(got, expected);
+        }
+
+        #[test]
+        fn degenerate_window_bounds_are_empty(
+            t0 in -5.0f64..5.0,
+            steps in prop::collection::vec(
+                (0.001f64..0.5, -180.0f64..180.0, -90.0f64..90.0),
+                1..60,
+            ),
+            inside in 0.0f64..1.0,
+            gap in 1e-6f64..10.0,
+        ) {
+            let trace = trace_from_steps(t0, &steps);
+            let first = trace.samples[0].0;
+            let last = trace.duration_sec();
+            let mid = first + inside * (last - first);
+            let (nan, inf) = (f64::NAN, f64::INFINITY);
+            let bounds = [
+                (first - gap - 1.0, first - gap), // before the first sample
+                (last + gap, last + gap + 1.0),   // after the last sample
+                (mid + gap, mid),                 // from > to
+                (last, first - gap),              // from > to, spanning the trace
+                (nan, mid),
+                (mid, nan),
+                (nan, nan),
+                (inf, inf),
+                (-inf, -inf),
+                (inf, -inf),
+                (nan, inf),
+                (-inf, nan),
+            ];
+            let mut out = Vec::new();
+            for (from, to) in bounds {
+                out.push(SwitchingSample::new(0.0, ViewCenter::default()));
+                trace.switching_window_into(from, to, &mut out);
+                prop_assert!(out.is_empty(), "[{from}, {to}] selected {} samples", out.len());
+            }
         }
     }
 

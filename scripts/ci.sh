@@ -39,6 +39,13 @@ echo "==> cargo test -q --offline --workspace (default threads, then 4)"
 cargo test -q --offline --workspace
 cargo test -q --offline --workspace -- --test-threads=4
 
+echo "==> perfbench self-tests (repository benchmark, own workspace)"
+# The repository benchmark is a separate package the workspace build
+# does not reach. Its self-tests run every workload as a tiny smoke with
+# bit-for-bit reference checks, so a break in the entry points it drives
+# or in bit-exactness fails here rather than at benchmark time.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> fault-injection smoke (seeded chaos run per phone profile)"
 # One seeded chaos scenario per phone: a 10 s mid-stream blackout on the
 # paper's LTE trace. The example exits non-zero unless the session

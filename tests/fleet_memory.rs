@@ -8,17 +8,30 @@
 //! starts retaining `SessionMetrics`, the peak jumps by orders of
 //! magnitude and this test fails loudly.
 //!
+//! A third gate does the same for one paper session: on a very long gaze
+//! trace its per-segment phases must not touch trace-sized memory.
+//!
 //! The allocator counts every thread's heap in one process-wide peak, so
 //! the budget tests take [`BUDGET_LOCK`] and run one at a time: each
-//! peak then holds only its own fleet, whatever `--test-threads` says.
+//! peak then holds only its own workload, whatever `--test-threads` says.
 
 use std::sync::{Mutex, PoisonError};
 
-use ee360_obs::TelemetryConfig;
+use ee360_abr::controller::Scheme;
+use ee360_cluster::ptile::PtileConfig;
+use ee360_core::client::{make_controller, SessionRunner, SessionSetup};
+use ee360_core::server::VideoServer;
+use ee360_geom::grid::TileGrid;
+use ee360_obs::{NoopRecorder, TelemetryConfig};
+use ee360_power::model::Phone;
 use ee360_sim::fleet::{run_scale_fleet, FleetConfig};
+use ee360_sim::resilience::RetryPolicy;
 use ee360_support::alloc::CountingAlloc;
+use ee360_trace::dataset::VideoTraces;
 use ee360_trace::fault::{FaultConfig, FaultPlan};
+use ee360_trace::head::{GazeConfig, HeadTrace};
 use ee360_trace::network::NetworkTrace;
+use ee360_video::catalog::VideoCatalog;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -92,4 +105,74 @@ fn fleet_of_100k_sessions_with_telemetry_stays_in_budget() {
          ({} B/session over {SESSIONS} sessions)",
         peak / SESSIONS
     );
+}
+
+/// Gaze sampling rate of the long trace: 40x the generator's 10 Hz.
+const LONG_TRACE_HZ: f64 = 400.0;
+/// Samples in the long trace: 250 s at 400 Hz, 2.4 MB of raw samples.
+const LONG_TRACE_SAMPLES: usize = 100_000;
+const SESSION_SEGMENTS: usize = 40;
+
+/// Pinned peak-heap growth of one session's per-segment phases. What a
+/// segment may hold is window-sized: the recycled 2 s gaze history
+/// (~800 samples at 400 Hz, ~19 kB), the predictor's fit over it, the
+/// speeds behind Eq. 4's S_fov, and the session's growing metrics
+/// vector. Measured peaks are 57–78 kB per scheme; 128 kB is a
+/// twentieth of the trace, so converting or copying the whole trace on
+/// any segment fails by megabytes.
+const SESSION_SEGMENT_BUDGET_BYTES: usize = 128 * 1024;
+
+#[test]
+fn session_segments_do_not_touch_the_whole_gaze_trace() {
+    let _serial = BUDGET_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let catalog = VideoCatalog::paper_default();
+    let spec = catalog.video(6).expect("catalog has video 6");
+    let training = VideoTraces::generate(spec, 6, 5, GazeConfig::default());
+    let refs: Vec<&HeadTrace> = training.traces().iter().collect();
+    let server = VideoServer::prepare(
+        spec,
+        &refs,
+        TileGrid::paper_default(),
+        PtileConfig::paper_default(),
+    );
+    // A smooth sweep across the front hemisphere, densely sampled.
+    let samples = (0..LONG_TRACE_SAMPLES)
+        .map(|i| {
+            let t = i as f64 / LONG_TRACE_HZ;
+            (t, 60.0 * (0.31 * t).sin(), 15.0 * (0.17 * t).cos())
+        })
+        .collect();
+    let user = HeadTrace::from_samples(spec.id, 99, samples);
+    let trace_bytes = LONG_TRACE_SAMPLES * std::mem::size_of::<(f64, f64, f64)>();
+    assert!(trace_bytes > 16 * SESSION_SEGMENT_BUDGET_BYTES);
+    let network = NetworkTrace::paper_trace2(400, 5);
+    let faults = FaultPlan::none();
+    let setup = SessionSetup {
+        server: &server,
+        user: &user,
+        network: &network,
+        phone: Phone::Pixel3,
+        max_segments: Some(SESSION_SEGMENTS),
+    };
+    for scheme in Scheme::ALL.into_iter().chain([Scheme::RobustMpc]) {
+        let mut controller = make_controller(scheme, setup.phone);
+        let mut runner = SessionRunner::new(scheme, &setup, &faults, &RetryPolicy::disabled());
+        let mut rec = NoopRecorder;
+        runner.start(&mut rec);
+        let baseline = ALLOC.reset_peak();
+        while runner.plan_segment(controller.as_mut(), &mut rec) {
+            while runner
+                .step_download(controller.as_mut(), &mut rec)
+                .is_none()
+            {}
+        }
+        let peak = ALLOC.peak_bytes().saturating_sub(baseline);
+        let metrics = runner.finish(&mut rec);
+        assert_eq!(metrics.len(), SESSION_SEGMENTS, "{scheme:?}");
+        assert!(
+            peak <= SESSION_SEGMENT_BUDGET_BYTES,
+            "{scheme:?}: per-segment phases grew the heap by {peak} B, over the \
+             {SESSION_SEGMENT_BUDGET_BYTES} B budget (the gaze trace is {trace_bytes} B)"
+        );
+    }
 }
