@@ -397,10 +397,10 @@ fn main() {
         println!("scaling @{req} (used {used}): {ms:.2} ms");
     }
 
-    // --- fleet scaling: the event-driven scale fleet (sim::fleet) -------
+    // --- fleet scaling: the scale fleet's per-session loops (sim::fleet) --
     // Quick mode runs 20k sessions; full mode the ROADMAP's 1M-session
-    // target, streamed through bounded shard waves (no per-session metric
-    // vectors), so peak memory stays flat regardless of fleet size.
+    // target. Each worker holds one live session and the fold keeps one
+    // scalar summary per session (no per-session metric vectors).
     let fleet_sessions: usize = if quick { 20_000 } else { 1_000_000 };
     let fleet_segments: usize = 10;
     let fleet_network = NetworkTrace::paper_trace2(300, 11);

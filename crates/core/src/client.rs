@@ -13,14 +13,13 @@
 //!    a missed prediction shows the low-quality background, not the
 //!    high-quality Ptile).
 //!
-//! The session is factored as a [`SessionRunner`] state machine
-//! (plan → step → book) so the event-driven fleet engine
-//! ([`crate::fleet`]) can interleave many sessions on one event queue
-//! while executing the very same statements as the classic loop —
-//! [`run_session_traced`] is the runner driven in a tight loop. Every
-//! download goes through the runner's [`SessionCore`], the simulator's
-//! one download path; the benign world is a fault plan with no faults
-//! and the wait-forever retry policy.
+//! The session is factored as a [`SessionRunner`] (start, then per
+//! segment plan → step until the outcome lands → book, then finish) so
+//! each phase can be timed and profiled on its own; [`run_session_traced`]
+//! is the one loop that drives it. Every download goes through the
+//! runner's [`SessionCore`], the simulator's one download path; the
+//! benign world is a fault plan with no faults and the wait-forever
+//! retry policy.
 //!
 //! Entry points: [`run_session_traced`] takes any controller, fault
 //! plan, retry policy and recorder. [`run_session`] (the benign world)
@@ -46,6 +45,7 @@ use ee360_qoe::framerate::{alpha, framerate_factor};
 use ee360_qoe::impairment::{QoeWeights, SegmentQoe};
 use ee360_qoe::quality::QoModel;
 use ee360_sim::decoder::DecoderPipeline;
+use ee360_sim::fleet::EngineStats;
 use ee360_sim::metrics::{SegmentRecord, SegmentTiming, SessionMetrics};
 use ee360_sim::resilience::{
     DownloadEnv, DownloadOutcome, DownloadState, RetryPolicy, SessionCore,
@@ -164,12 +164,36 @@ pub fn run_session_traced(
     policy: &RetryPolicy,
     rec: &mut dyn Record,
 ) -> SessionMetrics {
+    run_session_counted(controller, setup, faults, policy, rec).0
+}
+
+/// The one phase loop of a paper session: [`run_session_traced`] plus
+/// the session's per-kind tallies (replans, fault fires, completions,
+/// stalls), counted as it goes.
+pub(crate) fn run_session_counted(
+    controller: &mut dyn Controller,
+    setup: &SessionSetup,
+    faults: &FaultPlan,
+    policy: &RetryPolicy,
+    rec: &mut dyn Record,
+) -> (SessionMetrics, EngineStats) {
+    let mut stats = EngineStats::session();
     let mut runner = SessionRunner::new(controller.scheme(), setup, faults, policy);
     runner.start(rec);
-    while runner.plan_segment(controller, rec) {
-        while runner.step_download(controller, rec).is_none() {}
+    loop {
+        stats.count_replan();
+        if !runner.plan_segment(controller, rec) {
+            break;
+        }
+        let outcome = loop {
+            match runner.step_download(controller, rec) {
+                Some(outcome) => break outcome,
+                None => stats.count_fault_fire(),
+            }
+        };
+        stats.count_completion(&outcome);
     }
-    runner.finish(rec)
+    (runner.finish(rec), stats)
 }
 
 /// The in-flight download a [`SessionRunner`] is waiting on: the plan,
@@ -197,10 +221,8 @@ struct PendingDownload {
 /// lookup, bandwidth estimate, controller decision, download open)
 /// followed by `step_download` until the outcome lands and is booked.
 ///
-/// [`run_session_traced`] drives the runner in a tight loop; the
-/// event-driven fleet engine interleaves many runners on one queue. Both
-/// execute the same statements in the same per-session order, which is
-/// why their outputs are bit-identical.
+/// [`run_session_traced`] drives the runner in a tight loop, the one
+/// phase loop every paper session runs.
 pub struct SessionRunner<'a> {
     setup: SessionSetup<'a>,
     faults: &'a FaultPlan,
@@ -238,9 +260,8 @@ pub struct SessionRunner<'a> {
 
 impl<'a> SessionRunner<'a> {
     /// Builds the runner (controller state lives outside, passed to each
-    /// phase, so one driver can own both without self-references). The
-    /// network trace and fault plan stay borrowed: a fleet of runners
-    /// shares one copy of each.
+    /// phase). The network trace and fault plan stay borrowed: every
+    /// session of a cell shares one copy of each.
     ///
     /// # Panics
     ///
@@ -530,10 +551,9 @@ impl<'a> SessionRunner<'a> {
     }
 
     /// Runs one attempt of the open download. `None` means it is still
-    /// in flight — call again (the event engine schedules the next event
-    /// here). `Some(outcome)` means the segment finished and its energy,
-    /// QoE and metrics record have been booked; the runner has advanced
-    /// to the next segment slot.
+    /// in flight — call again. `Some(outcome)` means the segment finished
+    /// and its energy, QoE and metrics record have been booked; the
+    /// runner has advanced to the next segment slot.
     pub fn step_download(
         &mut self,
         controller: &mut dyn Controller,
@@ -628,7 +648,7 @@ impl<'a> SessionRunner<'a> {
                     download_sec: elapsed_sec,
                     throughput_bps: 0.0,
                     buffer_at_request_sec: (buffer - wait_sec).max(0.0),
-                    stall_sec: (blackout_sec - SEGMENT_DURATION_SEC).max(0.0),
+                    stall_sec: outcome.stall_sec(),
                     buffer_after_sec: self.core.buffer_level_sec(),
                 };
                 let energy = SegmentEnergy {

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use ee360_abr::controller::Scheme;
 use ee360_cluster::ptile::PtileConfig;
 use ee360_geom::grid::TileGrid;
-use ee360_obs::{Record, Recorder};
+use ee360_obs::Recorder;
 use ee360_power::model::Phone;
 use ee360_sim::metrics::SessionMetrics;
 use ee360_sim::resilience::RetryPolicy;
@@ -16,7 +16,8 @@ use ee360_trace::head::{GazeConfig, HeadTrace};
 use ee360_trace::network::NetworkTrace;
 use ee360_video::catalog::{VideoCatalog, VideoSpec};
 
-use crate::client::{make_controller, run_session, run_session_traced, SessionSetup};
+use crate::client::{run_session, SessionSetup};
+use crate::fleet::fleet_sessions_traced;
 use crate::server::VideoServer;
 
 /// Experiment-wide knobs.
@@ -359,14 +360,16 @@ impl Evaluation {
         SchemeOutcome::from_sessions(scheme, video_id, &sessions)
     }
 
-    /// [`Self::run`] under a fault plan with observability: each session
-    /// runs with its own private [`Recorder`] (level and profiling flag
-    /// inherited from `rec`), and the per-session registries and event
-    /// streams are merged into `rec` in *user index order* after the
-    /// fan-out joins. Merge order is therefore a pure function of the
-    /// input — the aggregated metrics are identical for any
-    /// [`Self::session_threads`] count, and the simulation results are
-    /// bit-identical to the untraced path.
+    /// [`Self::run`] under a fault plan with observability: the
+    /// [`fleet_sessions_traced`] fan-out on [`Self::session_threads`]
+    /// workers, folded into the cell's aggregate. Each session runs with
+    /// its own private [`Recorder`] (level and profiling flag inherited
+    /// from `rec`), and the per-session registries and event streams are
+    /// merged into `rec` in *user index order* after the fan-out joins.
+    /// Merge order is therefore a pure function of the input — the
+    /// aggregated metrics are identical for any [`Self::session_threads`]
+    /// count, and the simulation results are bit-identical to the
+    /// untraced path.
     ///
     /// # Panics
     ///
@@ -379,31 +382,15 @@ impl Evaluation {
         policy: &RetryPolicy,
         rec: &mut Recorder,
     ) -> SchemeOutcome {
-        let (users, setup) = self.user_setups(video_id);
-        let level = rec.level();
-        let profiling = rec.profiling();
-        let window_sec = rec.windows().map_or(0.0, |w| w.window_sec());
-        let results: Vec<(SessionMetrics, Recorder)> =
-            parallel_map_indexed(self.session_threads, users.len(), |i| {
-                let mut session_rec = Recorder::new(level)
-                    .with_profiling(profiling)
-                    .with_windows(window_sec);
-                let setup = setup(i);
-                let mut controller = make_controller(scheme, setup.phone);
-                let metrics = run_session_traced(
-                    controller.as_mut(),
-                    &setup,
-                    faults,
-                    policy,
-                    &mut session_rec,
-                );
-                (metrics, session_rec)
-            });
-        let mut sessions = Vec::with_capacity(results.len());
-        for (metrics, session_rec) in results {
-            merge_session_recorder(rec, &session_rec);
-            sessions.push(metrics);
-        }
+        let (sessions, _) = fleet_sessions_traced(
+            self,
+            video_id,
+            scheme,
+            faults,
+            policy,
+            self.session_threads,
+            rec,
+        );
         SchemeOutcome::from_sessions(scheme, video_id, &sessions)
     }
 
@@ -427,18 +414,6 @@ impl Evaluation {
     /// The catalog backing this evaluation.
     pub fn catalog(&self) -> &VideoCatalog {
         &self.catalog
-    }
-}
-
-/// Folds one session's private recorder into the cell recorder: the
-/// merge sequence both engines apply in user-index order, so their
-/// merged reports match byte for byte.
-pub(crate) fn merge_session_recorder(rec: &mut Recorder, session: &Recorder) {
-    rec.count("experiment.sessions", 1);
-    rec.merge_registry(session.registry());
-    rec.merge_windows(session.windows());
-    for event in session.events() {
-        rec.record(event.clone());
     }
 }
 

@@ -1,161 +1,32 @@
-//! Event-driven fan-out of full paper sessions.
+//! The user-order fan-out of traced paper sessions.
 //!
-//! [`crate::experiment::Evaluation::run_traced`] runs each evaluation
-//! user as one closed loop. This module drives the *same* sessions —
-//! controller, predictor, download, energy/QoE booking and per-session
-//! recorder, all via [`SessionRunner`] and its
-//! [`SessionCore`](ee360_sim::resilience::SessionCore) — on the
-//! discrete-event engine of [`ee360_sim::fleet`] instead: each session
-//! becomes a [`FleetSessionDriver`] reacting to replan /
-//! download-complete / fault-fire events on a shared logical-time queue,
-//! sharded deterministically across the worker pool. Every runner
-//! borrows the evaluation's one network trace and the caller's one fault
-//! plan; nothing per session is cloned.
-//!
-//! Because every event handler calls the same [`SessionRunner`] phase
-//! the loop engine would call next, and sessions share nothing mutable,
-//! the per-session [`SessionMetrics`] are **bit-identical** to
-//! [`crate::client::run_session_traced`] — the property
-//! `tests/fleet_equivalence.rs` pins across the paper matrix. Recorders
-//! are merged into the caller's in user-index order, exactly as
-//! `run_traced` does, so the merged obs report bytes match too.
-//! [`fleet_sessions_traced`] returns the per-session metrics;
-//! [`run_fleet_traced`] folds them into the cell's [`SchemeOutcome`].
+//! [`fleet_sessions_traced`] runs one (video, scheme) cell's evaluation
+//! users, each as one closed loop of the [`crate::client`] phase loop
+//! (controller, predictor, download, energy/QoE booking, private
+//! recorder), fanned out across the worker pool and merged in
+//! user-index order. [`Evaluation::run_traced`] is this fan-out folded
+//! into the cell's aggregate. Every session borrows the evaluation's one
+//! network trace and the caller's one fault plan; nothing per session is
+//! cloned.
 
 use ee360_abr::controller::Scheme;
 use ee360_obs::{Record, Recorder};
-use ee360_sim::fleet::{drive_sessions, shard_ranges, EngineStats, EventKind, Scheduler};
+use ee360_sim::fleet::EngineStats;
 use ee360_sim::metrics::SessionMetrics;
-use ee360_sim::resilience::{DownloadOutcome, RetryPolicy};
-use ee360_sim::SessionDriver;
+use ee360_sim::resilience::RetryPolicy;
 use ee360_support::parallel::parallel_map_indexed;
 use ee360_trace::fault::FaultPlan;
-use ee360_video::segment::SEGMENT_DURATION_SEC;
 
-use crate::client::{make_controller, SessionRunner, SessionSetup};
-use crate::experiment::{merge_session_recorder, Evaluation, SchemeOutcome};
+use crate::client::{make_controller, run_session_counted};
+use crate::experiment::Evaluation;
 
-/// One full paper session as an event-queue driver: the boxed
-/// controller, the phase-decomposed [`SessionRunner`], and the session's
-/// private recorder. The runner moves out on the terminal replan (the
-/// one that finds no segment left), which finalises the metrics.
-pub struct FleetSessionDriver<'a> {
-    controller: Box<dyn ee360_abr::controller::Controller>,
-    runner: Option<SessionRunner<'a>>,
-    rec: Recorder,
-    metrics: Option<SessionMetrics>,
-}
-
-impl<'a> FleetSessionDriver<'a> {
-    /// Builds the driver for one user with the scheme's standard
-    /// controller and a fresh recorder (level and profiling as given;
-    /// logical-time windows of `window_sec`, or none when
-    /// `window_sec <= 0`). The per-session windows merge into the
-    /// caller's recorder in user-index order, mirroring the registry
-    /// merge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the user's trace belongs to a different video than the
-    /// server, or the policy is malformed.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        scheme: Scheme,
-        setup: &SessionSetup<'a>,
-        faults: &'a FaultPlan,
-        policy: &RetryPolicy,
-        level: ee360_obs::Level,
-        profiling: bool,
-        window_sec: f64,
-    ) -> Self {
-        Self {
-            controller: make_controller(scheme, setup.phone),
-            runner: Some(SessionRunner::new(scheme, setup, faults, policy)),
-            rec: Recorder::new(level)
-                .with_profiling(profiling)
-                .with_windows(window_sec),
-            metrics: None,
-        }
-    }
-
-    /// Seals the driver into its results: the finalised metrics (if the
-    /// session ran to completion) and the session's recorder.
-    pub fn into_parts(self) -> (Option<SessionMetrics>, Recorder) {
-        (self.metrics, self.rec)
-    }
-
-    /// Runs one recovery step of the in-flight download and schedules
-    /// the resolution event: `FaultFire` while unresolved,
-    /// `DownloadComplete` (plus the stall window, informationally) once
-    /// the outcome is booked.
-    fn dispatch_step(&mut self, sched: &mut Scheduler) {
-        let Some(runner) = self.runner.as_mut() else {
-            return;
-        };
-        match runner.step_download(self.controller.as_mut(), &mut self.rec) {
-            None => sched.schedule(runner.clock_sec(), EventKind::FaultFire),
-            Some(outcome) => {
-                let stall_sec = match outcome {
-                    DownloadOutcome::Delivered { timing, .. } => timing.stall_sec,
-                    DownloadOutcome::Skipped { blackout_sec, .. } => {
-                        (blackout_sec - SEGMENT_DURATION_SEC).max(0.0)
-                    }
-                };
-                if stall_sec > 0.0 {
-                    let end = runner.clock_sec();
-                    sched.schedule((end - stall_sec).max(0.0), EventKind::StallStart);
-                    sched.schedule(end, EventKind::StallEnd);
-                }
-                sched.schedule(runner.clock_sec(), EventKind::DownloadComplete);
-            }
-        }
-    }
-
-    fn replan(&mut self, sched: &mut Scheduler) {
-        let planned = match self.runner.as_mut() {
-            Some(runner) => runner.plan_segment(self.controller.as_mut(), &mut self.rec),
-            None => return,
-        };
-        if planned {
-            self.dispatch_step(sched);
-        } else if let Some(runner) = self.runner.take() {
-            // Terminal replan: no segment left — finalise and go quiet.
-            self.metrics = Some(runner.finish(&mut self.rec));
-        }
-    }
-}
-
-impl SessionDriver for FleetSessionDriver<'_> {
-    fn start(&mut self, sched: &mut Scheduler) {
-        let Some(runner) = self.runner.as_mut() else {
-            return;
-        };
-        runner.start(&mut self.rec);
-        sched.schedule(runner.clock_sec(), EventKind::Replan);
-    }
-
-    fn on_event(&mut self, kind: EventKind, sched: &mut Scheduler) {
-        match kind {
-            EventKind::Replan => self.replan(sched),
-            EventKind::FaultFire => self.dispatch_step(sched),
-            EventKind::DownloadComplete => {
-                if let Some(runner) = self.runner.as_ref() {
-                    sched.schedule(runner.clock_sec(), EventKind::Replan);
-                }
-            }
-            // Stall windows are informational queue entries; the booking
-            // already happened when the outcome landed.
-            EventKind::StallStart | EventKind::StallEnd => {}
-        }
-    }
-}
-
-/// Runs one (video, scheme) cell's evaluation users on the event engine,
-/// sharded across `threads` workers, and merges each session's recorder
-/// into `rec` in user-index order with exactly the
-/// [`Evaluation::run_traced`] merge sequence. Returns the per-session
-/// metrics in user order plus the engine stats (whose `peak_queue_len`
-/// is schedule-dependent; everything else is intrinsic).
+/// Runs one (video, scheme) cell's evaluation users on `threads` workers,
+/// each with a private recorder (level, profiling and windows inherited
+/// from `rec`), and merges the recorders into `rec` in user-index order.
+/// Merge order is therefore a pure function of the input, whatever the
+/// worker count. Returns the per-session metrics in user order plus the
+/// summed tallies (whose `peak_queue_len` is the sessions a worker holds
+/// live at once, 1; everything else is intrinsic).
 ///
 /// # Panics
 ///
@@ -173,69 +44,41 @@ pub fn fleet_sessions_traced(
     let level = rec.level();
     let profiling = rec.profiling();
     let window_sec = rec.windows().map_or(0.0, |w| w.window_sec());
-    let threads = threads.max(1);
-    let ranges = shard_ranges(users.len(), threads);
-    let shards = parallel_map_indexed(threads, ranges.len(), |shard| {
-        let range = ranges.get(shard).cloned().unwrap_or(0..0);
-        let mut drivers: Vec<FleetSessionDriver> = range
-            .map(|i| {
-                FleetSessionDriver::new(
-                    scheme,
-                    &setup(i),
-                    faults,
-                    policy,
-                    level,
-                    profiling,
-                    window_sec,
-                )
-            })
-            .collect();
-        let stats = drive_sessions(&mut drivers);
-        let parts: Vec<(Option<SessionMetrics>, Recorder)> = drivers
-            .into_iter()
-            .map(FleetSessionDriver::into_parts)
-            .collect();
-        (parts, stats)
-    });
-    let mut sessions = Vec::with_capacity(users.len());
+    let results: Vec<(SessionMetrics, EngineStats, Recorder)> =
+        parallel_map_indexed(threads.max(1), users.len(), |i| {
+            let mut session_rec = Recorder::new(level)
+                .with_profiling(profiling)
+                .with_windows(window_sec);
+            let setup = setup(i);
+            let mut controller = make_controller(scheme, setup.phone);
+            let (metrics, stats) = run_session_counted(
+                controller.as_mut(),
+                &setup,
+                faults,
+                policy,
+                &mut session_rec,
+            );
+            (metrics, stats, session_rec)
+        });
+    let mut sessions = Vec::with_capacity(results.len());
     let mut stats = EngineStats::default();
-    for (parts, shard_stats) in shards {
-        stats.accumulate(&shard_stats);
-        for (metrics, session_rec) in parts {
-            merge_session_recorder(rec, &session_rec);
-            if let Some(m) = metrics {
-                sessions.push(m);
-            }
+    for (metrics, session_stats, session_rec) in results {
+        rec.count("experiment.sessions", 1);
+        rec.merge_registry(session_rec.registry());
+        rec.merge_windows(session_rec.windows());
+        for event in session_rec.events() {
+            rec.record(event.clone());
         }
+        stats.accumulate(&session_stats);
+        sessions.push(metrics);
     }
     (sessions, stats)
-}
-
-/// [`fleet_sessions_traced`] aggregated into the cell's
-/// [`SchemeOutcome`] — the event-engine counterpart of
-/// [`Evaluation::run_traced`], bit-identical to it.
-///
-/// # Panics
-///
-/// Panics if the video was not prepared or has no evaluation users.
-pub fn run_fleet_traced(
-    eval: &Evaluation,
-    video_id: usize,
-    scheme: Scheme,
-    faults: &FaultPlan,
-    policy: &RetryPolicy,
-    threads: usize,
-    rec: &mut Recorder,
-) -> SchemeOutcome {
-    let (sessions, _stats) =
-        fleet_sessions_traced(eval, video_id, scheme, faults, policy, threads, rec);
-    SchemeOutcome::from_sessions(scheme, video_id, &sessions)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::ExperimentConfig;
+    use crate::experiment::{ExperimentConfig, SchemeOutcome};
     use ee360_obs::Level;
     use ee360_support::json;
     use ee360_trace::fault::FaultConfig;
@@ -247,24 +90,71 @@ mod tests {
         Evaluation::prepare_videos_threaded(config, &VideoCatalog::paper_default(), Some(&[2]), 1)
     }
 
+    /// Golden `SchemeOutcome` bytes of the quick video-2 Ours cell under
+    /// the seed-11 chaos plan.
+    const PINNED_CHAOS_OUTCOME: &str = concat!(
+        r#"{"scheme":"Ours","video_id":2,"users":2,"segments":30,"#,
+        r#""mean_energy_mj_per_segment":1483.7343681592577,"#,
+        r#""mean_transmission_mj":981.7593681592574,"mean_decode_mj":318.93399999999997,"#,
+        r#""mean_render_mj":183.04100000000003,"mean_qoe":90.82058711019086,"#,
+        r#""mean_quality":96.44941848137557,"mean_variation":3.2700603051969,"#,
+        r#""mean_rebuffering":2.358771065987813,"mean_stall_sec":2.5745059356812017,"#,
+        r#""mean_quality_level":4.566666666666666,"mean_fps":29.9}"#
+    );
+
+    /// Golden merged obs-report bytes (Detail level) of the same cell.
+    const PINNED_CHAOS_REPORT: &str = concat!(
+        r#"{"schema":"ee360-obs-report-v1","level":"detail","events_recorded":248,"#,
+        r#""events_dropped":0,"spans":{},"metrics":{"counters":{"experiment.sessions":2,"#,
+        r#""mpc.memo_hits":16,"mpc.memo_misses":284,"mpc.plans":60,"#,
+        r#""mpc.states_expanded":43642,"resilience.attempts":62,"resilience.losses":2,"#,
+        r#""resilience.retries":2,"resilience.timeouts":2},"#,
+        r#""gauges":{"session.segments":30.0},"histograms":{"#,
+        r#""energy.decode_mj":{"count":60,"sum":19136.039999999997,"min":301.65,"#,
+        r#""max":319.53,"p50":319.53,"p95":319.53,"p99":319.53,"buckets":[[512.0,60]]},"#,
+        r#""energy.render_mj":{"count":60,"sum":10982.460000000001,"#,
+        r#""min":170.89000000000001,"max":183.46,"p50":183.46,"p95":183.46,"p99":183.46,"#,
+        r#""buckets":[[256.0,60]]},"#,
+        r#""energy.transmission_mj":{"count":62,"sum":58905.562089555446,"#,
+        r#""min":249.82200960883338,"max":1595.7014460434211,"p50":1024.0,"#,
+        r#""p95":1595.7014460434211,"p99":1595.7014460434211,"#,
+        r#""buckets":[[256.0,2],[512.0,6],[1024.0,24],[2048.0,30]]},"#,
+        r#""resilience.backoff_sec":{"count":2,"sum":0.5,"min":0.25,"max":0.25,"#,
+        r#""p50":0.25,"p95":0.25,"p99":0.25,"buckets":[[0.5,2]]},"#,
+        r#""resilience.recovery_sec":{"count":60,"sum":8.5,"min":0.0,"max":4.25,"#,
+        r#""p50":0.0000000009313225746154785,"p95":0.0000000009313225746154785,"#,
+        r#""p99":4.25,"buckets":[[0.0000000009313225746154785,58],[8.0,2]]},"#,
+        r#""resilience.wasted_bits":{"count":60,"sum":0.0,"min":0.0,"max":0.0,"#,
+        r#""p50":0.0,"p95":0.0,"p99":0.0,"buckets":[[0.0000000009313225746154785,60]]},"#,
+        r#""session.stall_sec":{"count":60,"sum":5.149011871362403,"min":0.0,"#,
+        r#""max":2.119835874300879,"p50":0.0000000009313225746154785,"p95":0.5,"#,
+        r#""p99":2.119835874300879,"#,
+        r#""buckets":[[0.0000000009313225746154785,56],[0.5,2],[4.0,2]]}}}}"#
+    );
+
     #[test]
-    fn event_engine_matches_loop_engine_bit_for_bit() {
+    fn chaos_cell_outcome_and_report_are_pinned() {
         let eval = quick_eval();
         let faults = FaultPlan::generate(FaultConfig::chaos_default(), 300.0, 11);
         let policy = RetryPolicy::default_mobile();
-        let mut loop_rec = Recorder::new(Level::Detail);
-        let loop_outcome = eval.run_traced(2, Scheme::Ours, &faults, &policy, &mut loop_rec);
+        let mut rec = Recorder::new(Level::Detail);
+        let outcome = eval.run_traced(2, Scheme::Ours, &faults, &policy, &mut rec);
+        assert_eq!(json::to_string(&outcome).unwrap(), PINNED_CHAOS_OUTCOME);
+        assert_eq!(
+            json::to_string(&ee360_obs::export::report_json(&rec)).unwrap(),
+            PINNED_CHAOS_REPORT
+        );
         let mut fleet_rec = Recorder::new(Level::Detail);
-        let fleet_outcome =
-            run_fleet_traced(&eval, 2, Scheme::Ours, &faults, &policy, 1, &mut fleet_rec);
+        let (sessions, _) =
+            fleet_sessions_traced(&eval, 2, Scheme::Ours, &faults, &policy, 1, &mut fleet_rec);
+        let fleet_outcome = SchemeOutcome::from_sessions(Scheme::Ours, 2, &sessions);
         assert_eq!(
             json::to_string(&fleet_outcome).unwrap(),
-            json::to_string(&loop_outcome).unwrap()
+            PINNED_CHAOS_OUTCOME
         );
         assert_eq!(
             json::to_string(&ee360_obs::export::report_json(&fleet_rec)).unwrap(),
-            json::to_string(&ee360_obs::export::report_json(&loop_rec)).unwrap(),
-            "merged obs reports must match byte-for-byte"
+            PINNED_CHAOS_REPORT
         );
     }
 
@@ -275,10 +165,11 @@ mod tests {
         let policy = RetryPolicy::default_mobile();
         let run = |threads: usize| {
             let mut rec = Recorder::new(Level::Summary);
-            let out =
-                run_fleet_traced(&eval, 2, Scheme::Ptile, &faults, &policy, threads, &mut rec);
+            let (sessions, stats) =
+                fleet_sessions_traced(&eval, 2, Scheme::Ptile, &faults, &policy, threads, &mut rec);
             (
-                json::to_string(&out).unwrap(),
+                json::to_string(&sessions).unwrap(),
+                (stats.events, stats.replans, stats.download_completes),
                 json::to_string(&ee360_obs::export::report_json(&rec)).unwrap(),
             )
         };

@@ -39,7 +39,7 @@ pub mod server;
 
 pub use client::{run_session, SessionSetup};
 pub use experiment::{run_video_scheme, ExperimentConfig, SchemeOutcome};
-pub use fleet::{fleet_sessions_traced, run_fleet_traced, FleetSessionDriver};
+pub use fleet::fleet_sessions_traced;
 pub use parallel::{default_threads, run_matrix};
 pub use report::{normalize_to, BarChart, TableWriter};
 pub use server::VideoServer;

@@ -496,13 +496,10 @@ mod tests {
     fn entry_resolution_matches_suffix() {
         let g = graph(&[(
             "crates/sim/src/fleet.rs",
-            "pub struct ScaleDriver; impl ScaleDriver { pub fn on_event(&mut self) {} }",
+            "pub struct ScaleDriver; impl ScaleDriver { pub fn stream(&mut self) {} }",
         )]);
-        assert_eq!(
-            g.resolve_entry("sim::fleet::ScaleDriver::on_event").len(),
-            1
-        );
-        assert_eq!(g.resolve_entry("ScaleDriver::on_event").len(), 1);
+        assert_eq!(g.resolve_entry("sim::fleet::ScaleDriver::stream").len(), 1);
+        assert_eq!(g.resolve_entry("ScaleDriver::stream").len(), 1);
         assert!(g.resolve_entry("no::such::fn").is_empty());
     }
 

@@ -56,8 +56,7 @@ impl Default for Config {
         entries.insert(
             RuleId::HotPathAlloc.id(),
             own(&[
-                "sim::fleet::ScaleDriver::on_event",
-                "sim::fleet::ScaleDriver::start",
+                "sim::fleet::ScaleDriver::stream",
                 "abr::mpc::MpcController::solve_with_bandwidths",
                 "abr::mpc::MpcController::plan_into",
                 "abr::robust::RobustMpcController::plan_into",

@@ -471,13 +471,13 @@ mod tests {
     }
 
     #[test]
-    fn hot_path_alloc_fires_from_event_loop() {
+    fn hot_path_alloc_fires_from_session_loop() {
         let (findings, _) = analyse(
             &[(
                 "crates/sim/src/fleet.rs",
                 "pub struct ScaleDriver;\n\
                  impl ScaleDriver {\n\
-                 pub fn on_event(&mut self) { let label = format!(\"e\"); let _ = label; }\n\
+                 pub fn stream(&mut self) { let label = format!(\"e\"); let _ = label; }\n\
                  }",
             )],
             |_| {},

@@ -35,7 +35,7 @@
 //!   points (fleet runner, MPC solver, session runners).
 //! - `hot-path-alloc` — allocations (`Vec::new`, `push`, `Box::new`,
 //!   `format!`, `to_string`, `clone`, ...) reachable from the fleet
-//!   event loop or the solver inner loop.
+//!   session loop or the solver inner loop.
 //! - `determinism-taint` — non-determinism sources (wall clock,
 //!   `std::env`, `HashMap`/`HashSet`) reachable from replay-critical
 //!   entry points, in *any* crate.

@@ -875,7 +875,7 @@ mod tests {
             pub fn run_scale_fleet() {}
             pub struct ScaleDriver;
             impl ScaleDriver {
-                pub fn on_event(&mut self) {}
+                pub fn stream(&mut self) {}
             }
             pub trait Driver {
                 fn start(&mut self) { self.warm(); }
@@ -888,7 +888,7 @@ mod tests {
             qnames,
             vec![
                 "sim::fleet::run_scale_fleet",
-                "sim::fleet::ScaleDriver::on_event",
+                "sim::fleet::ScaleDriver::stream",
                 "sim::fleet::Driver::start",
             ]
         );

@@ -33,8 +33,8 @@ pub enum RuleId {
     /// call graph.
     PanicReachability,
     /// Interprocedural: an allocation (`Vec::new`/`push`/`Box::new`/
-    /// `format!`/`to_string`/`clone`/...) reachable from the fleet event
-    /// loop or the solver inner loop — the static twin of the counting
+    /// `format!`/`to_string`/`clone`/...) reachable from the fleet
+    /// session loop or the solver inner loop — the static twin of the counting
     /// allocator's per-session heap budget.
     HotPathAlloc,
     /// Interprocedural: a non-determinism source (wall clock, `std::env`,

@@ -7,7 +7,7 @@ use ee360_support::util::{edge_cut_target, hazard_alloc, hazard_map, hazard_pani
 pub struct ScaleDriver;
 
 impl ScaleDriver {
-    pub fn on_event(&mut self) {
+    pub fn stream(&mut self) {
         hazard_alloc(3);
     }
 }

@@ -288,7 +288,7 @@ fn interproc_fixture_fires_each_rule_and_propagates_pragmas() {
     assert!(
         allocs
             .iter()
-            .any(|m| m.contains("hazard_alloc") && m.contains("ScaleDriver::on_event")),
+            .any(|m| m.contains("hazard_alloc") && m.contains("ScaleDriver::stream")),
         "{allocs:?}"
     );
     let taints = with_rule(RuleId::DeterminismTaint);
@@ -410,7 +410,7 @@ fn binary_gates_panic_reachability_both_directions() {
 
 #[test]
 fn binary_gates_hot_path_alloc_both_directions() {
-    let entry = "use ee360_support::util::fill;\npub struct ScaleDriver;\nimpl ScaleDriver { pub fn on_event(&mut self) { fill(); } }\n";
+    let entry = "use ee360_support::util::fill;\npub struct ScaleDriver;\nimpl ScaleDriver { pub fn stream(&mut self) { fill(); } }\n";
     let dir = seeded_workspace(
         "interproc-alloc-fail",
         entry,

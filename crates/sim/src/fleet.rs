@@ -1,48 +1,31 @@
-//! Event-driven fleet engine: many sessions, one logical-time queue.
+//! The scale fleet: many synthetic sessions, each run as one closed loop.
 //!
-//! The classic engine (the full client loop in `ee360-core`, stepping
-//! [`crate::resilience::SessionCore`]) runs one session to completion in
-//! a tight loop. That is the right *reference* semantics, but it cannot
-//! serve the ROADMAP's million-session studies: it retains per-segment
-//! vectors and walks sessions one at a time. This module supplies the
-//! scale half:
+//! The paper's client (Fig. 2b) streams each user as a closed
+//! per-segment loop, and fleet sessions share nothing mutable, so a fleet
+//! is just those loops run one after another. This module supplies:
 //!
-//! * a **discrete-event core** — one event loop pops [`QueuedEvent`]s
-//!   (replan, download-complete, fault-fire, stall-start/stall-end) off
-//!   one global binary heap ordered by `(time, session, seq)` and
-//!   dispatches them to [`SessionDriver`]s ([`drive_sessions`]) or to
-//!   [`ScaleDriver::on_event`];
-//! * **deterministic sharding** — [`shard_ranges`] splits the fleet
+//! * **sharded per-session loops** — [`shard_ranges`] splits the fleet
 //!   into contiguous index ranges driven on the `ee360-support` worker
-//!   pool; sessions never interact, so per-shard queues are
-//!   observationally identical to one global queue, and summaries are
-//!   folded back in user-index order so results are independent of the
-//!   thread count;
-//! * a **compact scale driver** — [`ScaleDriver`] holds O(100 bytes) of
-//!   hot state per session (buffer/clock/counters core, one in-flight
-//!   [`DownloadState`], an RNG handle and scalar accumulators — no
-//!   per-segment vectors) and books energy/QoE through the same
-//!   `ee360-power`/`ee360-qoe` models as the full client. Every scale
-//!   session runs on the Pixel 3 models under
+//!   pool; each worker runs its sessions one at a time with
+//!   [`ScaleDriver::stream`], so a worker holds one live session. Summaries
+//!   are folded back in user-index order, so results are independent of
+//!   the thread count;
+//! * **a compact scale driver** — [`ScaleDriver`] holds O(100 bytes) of
+//!   state (buffer/clock/counters core, an RNG handle and scalar
+//!   accumulators — no per-segment vectors) and books energy/QoE through
+//!   the same `ee360-power`/`ee360-qoe` models as the full client. Every
+//!   scale session runs on the Pixel 3 models under
 //!   [`RetryPolicy::default_mobile`], starting within the first 2 s;
 //! * **one entry point** — [`run_scale_fleet`] runs the fleet, folds the
 //!   report and, when [`FleetConfig::telemetry`] asks for it, the
 //!   windowed series, exemplars and sampled traces. Plain and windowed
-//!   runs dispatch through the same [`ScaleDriver::on_event`]; only the
-//!   window-log slot it is handed differs.
+//!   runs take the same branches; only the window-log slot a session is
+//!   handed differs.
 //!
-//! **Equivalence argument.** The event engine does not reimplement any
-//! streaming semantics: every event handler calls the *same*
-//! [`SessionCore::begin_download`]/[`SessionCore::step_download`] step
-//! functions the loop engine runs, in the same per-session order (a
-//! session only ever has one outstanding event, so its chain replays its
-//! loop exactly). Cross-session interleaving cannot change per-session
-//! state because sessions share only immutable inputs. Hence per-session
-//! outcomes are bit-identical to the loop engine — which
-//! `tests/fleet_equivalence.rs` pins across the paper matrix.
+//! Every download goes through [`SessionCore::begin_download`] and
+//! [`SessionCore::step_download`], the simulator's one download path,
+//! which the paper client in `ee360-core` steps too.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::ops::Range;
 
 use ee360_obs::profile::StageTimer;
@@ -67,99 +50,70 @@ use crate::resilience::{
     DownloadEnv, DownloadOutcome, DownloadState, ResilienceCounters, RetryPolicy, SessionCore,
 };
 
-/// What a queued event means to the session it belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum EventKind {
-    /// Plan the next segment and open its download.
-    Replan,
-    /// The in-flight segment finished (delivered or skipped) and was
-    /// booked; advance to the next slot.
-    DownloadComplete,
-    /// A fault/timeout resolution point: run the next recovery attempt.
-    FaultFire,
-    /// Playback stalled (informational; derived from the booked timing).
-    StallStart,
-    /// Playback resumed (informational).
-    StallEnd,
-}
-
-/// One entry in the global logical-time queue. Ordered by `(time,
-/// session, seq)`: `time_bits` is the IEEE-754 bit pattern of the event
-/// time, which sorts identically to the `f64` for the non-negative
-/// finite times [`Scheduler::schedule`] enforces, so the heap never
-/// compares floats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct QueuedEvent {
-    time_bits: u64,
-    session: u32,
-    seq: u64,
-    kind: EventKind,
-}
-
-/// The scheduling surface handed to a driver: events it pushes here are
-/// stamped with its session index and a global sequence number, then
-/// merged into the engine's queue.
-#[derive(Debug, Default)]
-pub struct Scheduler {
-    pending: Vec<(f64, EventKind)>,
-}
-
-impl Scheduler {
-    /// Schedules `kind` at logical time `t_sec` for the session whose
-    /// handler is currently running.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t_sec` is negative or not finite (the bit-pattern
-    /// ordering of the queue requires non-negative finite times).
-    pub fn schedule(&mut self, t_sec: f64, kind: EventKind) {
-        assert!(
-            t_sec.is_finite() && t_sec >= 0.0,
-            "event time must be finite and non-negative, got {t_sec}"
-        );
-        // lint:allow(hot-path-alloc, "amortised: a handler schedules at most a few events and the Vec retains its capacity across the drain cycle")
-        self.pending.push((t_sec, kind));
-    }
-}
-
-/// A session the event engine can drive. Drivers own all their mutable
-/// state (including any recorder); the engine only routes events. A
-/// driver that schedules nothing from a handler is finished.
-pub trait SessionDriver {
-    /// Called once before any event; schedule the session's first event
-    /// here (typically a [`EventKind::Replan`] at the session's start
-    /// offset).
-    fn start(&mut self, sched: &mut Scheduler);
-
-    /// Handles one event previously scheduled by this driver.
-    fn on_event(&mut self, kind: EventKind, sched: &mut Scheduler);
-}
-
-/// Engine-side tallies of one [`drive_sessions`] run. The per-kind
+/// Per-kind tallies of session loops, counted as each session runs. A
+/// session makes one replan per segment slot plus a terminal one that
+/// finds no slot left, one fault fire per download step that leaves the
+/// download unresolved, one download completion per booked segment, and
+/// a stall start/end pair per booking that stalled playback. These
 /// counts are intrinsic to the sessions (identical across thread counts
-/// and shardings); `peak_queue_len` depends on how many sessions share
-/// the queue and must never be folded into replay-compared reports.
+/// and shardings); `peak_queue_len` is not, and must never be folded
+/// into replay-compared reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Events dispatched in total.
+    /// Tallies of every kind, in total.
     pub events: u64,
-    /// [`EventKind::Replan`] events dispatched.
+    /// Replans: segment picks plus one terminal replan per session.
     pub replans: u64,
-    /// [`EventKind::DownloadComplete`] events dispatched.
+    /// Booked downloads (delivered or skipped).
     pub download_completes: u64,
-    /// [`EventKind::FaultFire`] events dispatched.
+    /// Download steps that left the download unresolved.
     pub fault_fires: u64,
-    /// [`EventKind::StallStart`] events dispatched.
+    /// Bookings that stalled playback: each opens a stall…
     pub stall_starts: u64,
-    /// [`EventKind::StallEnd`] events dispatched.
+    /// …and closes it, so this equals `stall_starts`.
     pub stall_ends: u64,
-    /// High-water mark of the event queue (schedule-dependent).
+    /// Sessions a worker holds live at once: 1, because each worker runs
+    /// its sessions one after another (0 when no session ran).
     pub peak_queue_len: usize,
 }
 
 impl EngineStats {
+    /// The tallies of one session about to run: one live session,
+    /// nothing counted yet.
+    #[must_use]
+    pub fn session() -> Self {
+        Self {
+            peak_queue_len: 1,
+            ..Self::default()
+        }
+    }
+
+    /// Counts one replan.
+    pub fn count_replan(&mut self) {
+        self.replans += 1;
+        self.events += 1;
+    }
+
+    /// Counts one download step that left the download unresolved.
+    pub fn count_fault_fire(&mut self) {
+        self.fault_fires += 1;
+        self.events += 1;
+    }
+
+    /// Counts one booked download, plus its stall start and end when it
+    /// stalled playback.
+    pub fn count_completion(&mut self, outcome: &DownloadOutcome) {
+        self.download_completes += 1;
+        self.events += 1;
+        if outcome.stall_sec() > 0.0 {
+            self.stall_starts += 1;
+            self.stall_ends += 1;
+            self.events += 2;
+        }
+    }
+
     /// Component-wise accumulation; `peak_queue_len` takes the max (the
-    /// shards run disjoint queues, so their peaks don't add).
+    /// workers hold their live sessions side by side, not in sequence).
     pub fn accumulate(&mut self, other: &EngineStats) {
         self.events += other.events;
         self.replans += other.replans;
@@ -169,74 +123,6 @@ impl EngineStats {
         self.stall_ends += other.stall_ends;
         self.peak_queue_len = self.peak_queue_len.max(other.peak_queue_len);
     }
-}
-
-fn enqueue_pending(
-    heap: &mut BinaryHeap<Reverse<QueuedEvent>>,
-    sched: &mut Scheduler,
-    session: u32,
-    seq: &mut u64,
-) {
-    for (t_sec, kind) in sched.pending.drain(..) {
-        heap.push(Reverse(QueuedEvent {
-            time_bits: t_sec.to_bits(),
-            session,
-            seq: *seq,
-            kind,
-        }));
-        *seq += 1;
-    }
-}
-
-/// Runs every driver to completion on one shared logical-time queue.
-///
-/// Events pop in `(time, session index, schedule order)` order, so the
-/// dispatch sequence is a pure function of the drivers — independent of
-/// platform, allocator or wall clock. Because each driver only ever
-/// reacts to its own events, the per-session call sequence equals the
-/// sequence a dedicated single-session loop would make, which is the
-/// engine half of the bit-identical-equivalence argument.
-pub fn drive_sessions<D: SessionDriver>(drivers: &mut [D]) -> EngineStats {
-    drive_sessions_via(drivers, D::start, |driver, _, kind, sched| {
-        driver.on_event(kind, sched);
-    })
-}
-
-/// The one event loop every engine shares: [`drive_sessions`] dispatches
-/// through the trait, the scale fleet through [`ScaleDriver::on_event`]
-/// with the session's index, which routes its window-log arena slot. The
-/// loop body is what fixes the dispatch order, so both paths are
-/// event-for-event identical by construction.
-fn drive_sessions_via<D>(
-    drivers: &mut [D],
-    mut start: impl FnMut(&mut D, &mut Scheduler),
-    mut dispatch: impl FnMut(&mut D, usize, EventKind, &mut Scheduler),
-) -> EngineStats {
-    let mut heap: BinaryHeap<Reverse<QueuedEvent>> = BinaryHeap::new();
-    let mut sched = Scheduler::default();
-    let mut seq = 0u64;
-    let mut stats = EngineStats::default();
-    for (index, driver) in drivers.iter_mut().enumerate() {
-        start(driver, &mut sched);
-        enqueue_pending(&mut heap, &mut sched, index as u32, &mut seq);
-    }
-    stats.peak_queue_len = heap.len();
-    while let Some(Reverse(event)) = heap.pop() {
-        stats.events += 1;
-        match event.kind {
-            EventKind::Replan => stats.replans += 1,
-            EventKind::DownloadComplete => stats.download_completes += 1,
-            EventKind::FaultFire => stats.fault_fires += 1,
-            EventKind::StallStart => stats.stall_starts += 1,
-            EventKind::StallEnd => stats.stall_ends += 1,
-        }
-        if let Some(driver) = drivers.get_mut(event.session as usize) {
-            dispatch(driver, event.session as usize, event.kind, &mut sched);
-        }
-        enqueue_pending(&mut heap, &mut sched, event.session, &mut seq);
-        stats.peak_queue_len = stats.peak_queue_len.max(heap.len());
-    }
-    stats
 }
 
 /// Splits `0..n` into at most `shards` contiguous, near-equal ranges —
@@ -371,7 +257,7 @@ ee360_support::impl_json_struct!(SessionSummary {
 
 /// Fleet-level aggregate of a scale run. Contains only thread-count
 /// independent quantities (per-session sums folded in user order and
-/// intrinsic event counts) — safe to compare byte-for-byte across
+/// intrinsic session tallies) — safe to compare byte-for-byte across
 /// replays and worker counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FleetReport {
@@ -391,13 +277,13 @@ pub struct FleetReport {
     pub total_stall_sec: f64,
     /// Total bits moved.
     pub total_bits: f64,
-    /// Replan events dispatched (intrinsic).
+    /// Replans (intrinsic; see [`EngineStats`]).
     pub replans: u64,
-    /// Download-complete events dispatched (intrinsic).
+    /// Booked downloads (intrinsic).
     pub download_completes: u64,
-    /// Fault-fire events dispatched (intrinsic).
+    /// Unresolved download steps (intrinsic).
     pub fault_fires: u64,
-    /// Stall-start events dispatched (intrinsic).
+    /// Bookings that stalled playback (intrinsic).
     pub stall_starts: u64,
     /// Fleet-wide resilience tallies.
     pub counters: ResilienceCounters,
@@ -450,9 +336,8 @@ impl<'a> ScaleEnv<'a> {
     }
 }
 
-/// One scale session as an event-queue driver. All hot state is scalar:
-/// the [`SessionCore`] (buffer, clock, counters), at most one in-flight
-/// [`DownloadState`], a 32-byte RNG, an EWMA bandwidth estimate and the
+/// One scale session. All state is scalar: the [`SessionCore`] (buffer,
+/// clock, counters), a 32-byte RNG, an EWMA bandwidth estimate and the
 /// running [`SessionSummary`]. No allocation after construction.
 #[derive(Debug)]
 pub struct ScaleDriver<'a> {
@@ -460,7 +345,6 @@ pub struct ScaleDriver<'a> {
     index: usize,
     core: SessionCore,
     rng: StdRng,
-    st: Option<DownloadState>,
     next_segment: usize,
     level: usize,
     coverage: f64,
@@ -471,16 +355,11 @@ pub struct ScaleDriver<'a> {
     /// point for startup latency.
     start_sec: f64,
     /// The window the most recent booking landed in; [`WINDOW_NONE`]
-    /// until the first booking. The ~400 B cell log itself lives in a
-    /// shard-level arena (see [`run_scale_shards`]), *not* in the
-    /// driver: the event loop walks tens of thousands of interleaved
-    /// drivers, and keeping the log out keeps the hot working set
-    /// small — a session's slot is only touched on a window transition
-    /// (a handful of times per session). Cells are sealed lazily: the
-    /// booking hot path only tracks `cur_window`, and a snapshot is
-    /// stamped when a booking lands in a *later* window (plus a final
-    /// seal at teardown), so the per-booking cost is one float compare,
-    /// not a struct copy.
+    /// until the first booking. Cells are sealed lazily: the booking
+    /// path only tracks `cur_window`, and a snapshot is stamped into the
+    /// session's window log when a booking lands in a *later* window
+    /// (plus a final seal when the session ends), so the per-booking
+    /// cost is one float compare, not a struct copy.
     cur_window: u32,
     /// End of `cur_window` in simulation seconds (0.0 until the first
     /// booking), so the same-window fast path is a single compare with
@@ -513,7 +392,6 @@ impl<'a> ScaleDriver<'a> {
             index,
             core: SessionCore::new(3.0),
             rng,
-            st: None,
             next_segment: 0,
             level: 0,
             coverage: 1.0,
@@ -532,44 +410,41 @@ impl<'a> ScaleDriver<'a> {
         }
     }
 
-    /// Schedules the session's first replan after its start offset,
-    /// drawn uniformly from `[0, START_SPREAD_SEC)`.
-    pub fn start(&mut self, sched: &mut Scheduler) {
+    /// Streams the whole session: after a start offset drawn uniformly
+    /// from `[0, START_SPREAD_SEC)`, each segment slot picks a rung,
+    /// opens its download, steps it until an outcome lands, and books
+    /// it. `windows` is the session's window log, `None` when windowing
+    /// is off; both cases take the same branches, so windowed and plain
+    /// runs stay identical. Returns the summary, the `Detail` trace the
+    /// session carried (sampled sessions only) and the session's tallies.
+    pub fn stream(
+        mut self,
+        mut windows: Option<&mut SessionWindows>,
+    ) -> (SessionSummary, Option<Box<Recorder>>, EngineStats) {
+        let mut stats = EngineStats::session();
         let offset = self.rng.gen_f64() * START_SPREAD_SEC;
         self.core.advance_clock(offset);
         self.start_sec = self.core.clock_sec();
-        sched.schedule(self.core.clock_sec(), EventKind::Replan);
-    }
-
-    /// Handles one event previously scheduled by this session.
-    /// `window_slot` is the session's window-log arena slot; it is `None`
-    /// when windowing is off, and both cases take the same branches, so
-    /// windowed and plain runs stay event-for-event identical.
-    pub fn on_event(
-        &mut self,
-        kind: EventKind,
-        sched: &mut Scheduler,
-        window_slot: Option<&mut SessionWindows>,
-    ) {
-        match kind {
-            EventKind::Replan => self.replan(sched, window_slot),
-            EventKind::FaultFire => self.step(sched, window_slot),
-            EventKind::DownloadComplete => {
-                sched.schedule(self.core.clock_sec(), EventKind::Replan);
+        let denv = self.download_env();
+        loop {
+            stats.count_replan();
+            if self.next_segment >= self.env.config.segments {
+                break;
             }
-            EventKind::StallStart | EventKind::StallEnd => {}
+            self.pick_rung();
+            let mut st = self.core.begin_download(&denv, self.next_segment);
+            let outcome = loop {
+                match self.step(&denv, &mut st) {
+                    Some(outcome) => break outcome,
+                    None => stats.count_fault_fire(),
+                }
+            };
+            stats.count_completion(&outcome);
+            self.book(outcome, windows.as_deref_mut());
         }
-    }
-
-    /// Seals the driver into its summary plus the `Detail` trace it
-    /// carried (for sampled sessions), stamping the last booked window
-    /// into the session's arena slot when one is given. That final
-    /// snapshot is the session's final accumulators, which is what
-    /// makes the series' final row bit-exact against the fleet report.
-    pub fn into_telemetry_parts(
-        self,
-        windows: Option<&mut SessionWindows>,
-    ) -> (SessionSummary, Option<Box<Recorder>>) {
+        // The final seal stamps the session's final accumulators, which
+        // is what makes the series' final row bit-exact against the
+        // fleet report.
         if self.cur_window != WINDOW_NONE {
             if let Some(windows) = windows {
                 windows.stamp(self.cur_window, self.window_cums());
@@ -578,7 +453,7 @@ impl<'a> ScaleDriver<'a> {
         let mut summary = self.summary;
         summary.counters = *self.core.counters();
         summary.clock_sec = self.core.clock_sec();
-        (summary, self.trace)
+        (summary, self.trace, stats)
     }
 
     /// Bit-copies of the running accumulators the fold will total.
@@ -604,10 +479,8 @@ impl<'a> ScaleDriver<'a> {
         }
     }
 
-    fn replan(&mut self, sched: &mut Scheduler, windows: Option<&mut SessionWindows>) {
-        if self.next_segment >= self.env.config.segments {
-            return; // session finished; schedule nothing
-        }
+    /// Draws the segment's viewport coverage and picks its rung-0 level.
+    fn pick_rung(&mut self) {
         // Per-segment viewport-prediction miss, drawn from the session's
         // own stream: 85–100% of the FoV lands on the fetched tiles.
         self.coverage = 0.85 + 0.15 * self.rng.gen_f64();
@@ -625,17 +498,12 @@ impl<'a> ScaleDriver<'a> {
             level += 1;
         }
         self.level = level;
-        let denv = self.download_env();
-        self.st = Some(self.core.begin_download(&denv, self.next_segment));
-        self.step(sched, windows);
     }
 
-    fn step(&mut self, sched: &mut Scheduler, windows: Option<&mut SessionWindows>) {
-        let denv = self.download_env();
+    /// Runs one attempt of the open download: `None` while it is still
+    /// in flight.
+    fn step(&mut self, denv: &DownloadEnv<'_>, st: &mut DownloadState) -> Option<DownloadOutcome> {
         let level = self.level;
-        let Some(st) = self.st.as_mut() else {
-            return;
-        };
         let mut request = |rung: usize| ladder_bits(level, rung);
         // Sampled sessions step through a live Detail recorder; recording
         // never changes the simulation (pinned by the obs reconcile
@@ -645,22 +513,10 @@ impl<'a> ScaleDriver<'a> {
             Some(trace) => trace,
             None => &mut noop,
         };
-        let stepped = self.core.step_download(&denv, st, &mut request, rec);
-        match stepped {
-            None => sched.schedule(self.core.clock_sec(), EventKind::FaultFire),
-            Some(outcome) => {
-                self.st = None;
-                self.book(outcome, sched, windows);
-            }
-        }
+        self.core.step_download(denv, st, &mut request, rec)
     }
 
-    fn book(
-        &mut self,
-        outcome: DownloadOutcome,
-        sched: &mut Scheduler,
-        windows: Option<&mut SessionWindows>,
-    ) {
+    fn book(&mut self, outcome: DownloadOutcome, windows: Option<&mut SessionWindows>) {
         let tel = &self.env.config.telemetry;
         if tel.windows_enabled() && self.core.clock_sec() >= self.window_end_sec {
             // Lazy seal: the summary still holds the previous booking's
@@ -682,7 +538,7 @@ impl<'a> ScaleDriver<'a> {
         let k = self.next_segment;
         self.next_segment += 1;
         self.summary.segments += 1;
-        let stall_sec = match outcome {
+        match outcome {
             DownloadOutcome::Delivered {
                 timing,
                 bits,
@@ -730,7 +586,6 @@ impl<'a> ScaleDriver<'a> {
                 );
                 self.prev_qo = Some(qo_eff);
                 self.summary.qoe_sum += qoe.total;
-                timing.stall_sec
             }
             DownloadOutcome::Skipped {
                 blackout_sec,
@@ -740,50 +595,38 @@ impl<'a> ScaleDriver<'a> {
             } => {
                 self.summary.skipped += 1;
                 self.summary.bits += wasted_bits;
-                let stall = (blackout_sec - SEGMENT_DURATION_SEC).max(0.0);
-                self.summary.stall_sec += stall;
+                self.summary.stall_sec += outcome.stall_sec();
                 self.summary.energy_mj += self.env.power.transmission_power_mw() * elapsed_sec;
                 let qoe =
                     SegmentQoe::evaluate(self.env.weights, 0.0, self.prev_qo, blackout_sec, 0.0);
                 self.prev_qo = Some(0.0);
                 self.summary.qoe_sum += qoe.total;
-                stall
             }
-        };
-        if stall_sec > 0.0 {
-            let end = self.core.clock_sec();
-            sched.schedule((end - stall_sec).max(0.0), EventKind::StallStart);
-            sched.schedule(end, EventKind::StallEnd);
         }
-        sched.schedule(self.core.clock_sec(), EventKind::DownloadComplete);
     }
 }
 
-/// Sessions per shard: bounds the live driver memory of one worker (a
-/// shard of 16 Ki drivers is ~16 MB) so a million-session fleet streams
-/// through in waves instead of materialising at once.
-const MAX_SHARD_SESSIONS: usize = 16_384;
-
 /// Everything one shard hands back to the fold: summaries (always),
 /// window logs and sampled traces (when telemetry asked for them), the
-/// engine stats, and — under `EE360_OBS_PROFILE=1` — the shard's own
-/// wall-clock phase timings.
+/// session tallies, and — under `EE360_OBS_PROFILE=1` — the shard's
+/// wall-clock loop time.
 struct ShardOut {
     summaries: Vec<SessionSummary>,
     /// Per-session window logs, indexed like `summaries`; empty when
-    /// windowing is off. This is the shard's arena, handed back
-    /// wholesale — no per-session move or allocation anywhere.
+    /// windowing is off. One allocation for the whole shard, handed back
+    /// wholesale.
     windows: Vec<SessionWindows>,
     /// Dense window count this shard needs (`max(last_window) + 1`),
-    /// computed in the worker while its cells are cache-hot so the fold
-    /// thread never re-scans the window logs just to size the series.
+    /// computed in the worker so the fold thread never re-scans the
+    /// window logs just to size the series.
     n_windows: usize,
     traces: Vec<(u64, Box<Recorder>)>,
     stats: EngineStats,
-    setup_wall_sec: Option<f64>,
     loop_wall_sec: Option<f64>,
 }
 
+/// Runs the fleet as one contiguous shard per worker, each worker
+/// running its sessions one after another.
 fn run_scale_shards(
     config: &FleetConfig,
     network: &NetworkTrace,
@@ -791,54 +634,38 @@ fn run_scale_shards(
     profiling: bool,
 ) -> Vec<ShardOut> {
     let threads = config.threads.max(1);
-    let shard_count = threads.max(config.sessions.div_ceil(MAX_SHARD_SESSIONS));
-    let ranges = shard_ranges(config.sessions, shard_count);
+    let ranges = shard_ranges(config.sessions, threads);
     let keep_windows = config.telemetry.windows_enabled();
     parallel_map_indexed(threads, ranges.len(), |shard| {
         let range = ranges.get(shard).cloned().unwrap_or(0..0);
         let env = ScaleEnv::new(config, network, faults);
-        let setup_timer = StageTimer::start(profiling);
-        let mut drivers: Vec<ScaleDriver> =
-            range.map(|index| ScaleDriver::new(&env, index)).collect();
-        // The shard's window-log arena: one allocation for the whole
-        // shard, one slot per session, kept out of the drivers so the
-        // event loop's hot working set stays compact. Empty when
-        // windowing is off, so every session's slot is `None`.
-        let mut window_log: Vec<SessionWindows> = Vec::new();
-        if keep_windows {
-            window_log.resize_with(drivers.len(), SessionWindows::default);
-        }
-        let setup_wall_sec = setup_timer.stop();
         let loop_timer = StageTimer::start(profiling);
-        let stats = drive_sessions_via(
-            &mut drivers,
-            ScaleDriver::start,
-            |driver, i, kind, sched| {
-                driver.on_event(kind, sched, window_log.get_mut(i));
-            },
-        );
-        let loop_wall_sec = loop_timer.stop();
         let mut out = ShardOut {
-            summaries: Vec::with_capacity(drivers.len()),
+            summaries: Vec::with_capacity(range.len()),
             windows: Vec::new(),
             n_windows: 1,
             traces: Vec::new(),
-            stats,
-            setup_wall_sec,
-            loop_wall_sec,
+            stats: EngineStats::default(),
+            loop_wall_sec: None,
         };
-        for (i, driver) in drivers.into_iter().enumerate() {
-            let index = driver.index as u64;
-            let (summary, trace) = driver.into_telemetry_parts(window_log.get_mut(i));
+        // Empty when windowing is off, so every session's slot is `None`.
+        if keep_windows {
+            out.windows
+                .resize_with(range.len(), SessionWindows::default);
+        }
+        for (slot, index) in range.enumerate() {
+            let (summary, trace, stats) =
+                ScaleDriver::new(&env, index).stream(out.windows.get_mut(slot));
             out.summaries.push(summary);
-            if let Some(last) = window_log.get(i).and_then(SessionWindows::last_window) {
+            out.stats.accumulate(&stats);
+            if let Some(last) = out.windows.get(slot).and_then(SessionWindows::last_window) {
                 out.n_windows = out.n_windows.max(last as usize + 1);
             }
             if let Some(trace) = trace {
-                out.traces.push((index, trace));
+                out.traces.push((index as u64, trace));
             }
         }
-        out.windows = window_log;
+        out.loop_wall_sec = loop_timer.stop();
         out
     })
 }
@@ -880,12 +707,13 @@ impl FleetTelemetry {
 /// the sequential fold order and the report plus registry are
 /// byte-identical at every thread count.
 ///
-/// Returns the report, the engine stats (whose `peak_queue_len` is
-/// schedule-dependent and deliberately kept out of the report) and —
-/// when [`FleetConfig::telemetry`] asks for it — the [`FleetTelemetry`]:
-/// the windowed [`FleetSeries`] (folded per session in user-index order,
-/// so bit-identical at every thread count), the worst-K [`Exemplars`],
-/// and the sampled `Detail` traces. Telemetry never changes the report.
+/// Returns the report, the session tallies (whose `peak_queue_len`
+/// describes the run, not the sessions, and stays out of the report)
+/// and — when [`FleetConfig::telemetry`] asks for it — the
+/// [`FleetTelemetry`]: the windowed [`FleetSeries`] (folded per session
+/// in user-index order, so bit-identical at every thread count), the
+/// worst-K [`Exemplars`], and the sampled `Detail` traces. Telemetry
+/// never changes the report.
 pub fn run_scale_fleet(
     config: &FleetConfig,
     network: &NetworkTrace,
@@ -923,11 +751,8 @@ pub fn run_scale_fleet(
     let mut session_index = 0u64;
     for shard in shards {
         stats.accumulate(&shard.stats);
-        if let Some(t) = shard.setup_wall_sec {
-            rec.observe("profile.fleet.shard_setup_wall_sec", t);
-        }
         if let Some(t) = shard.loop_wall_sec {
-            rec.observe("profile.fleet.event_loop_wall_sec", t);
+            rec.observe("profile.fleet.session_loop_wall_sec", t);
         }
         for (i, s) in shard.summaries.iter().enumerate() {
             report.segments += s.segments;
@@ -1083,9 +908,9 @@ pub fn fleet_timeseries_json(
     ])
 }
 
-/// The interleaved engine's per-session summaries in user order (test
-/// and inspection entry; retains one summary per session, so size the
-/// fleet accordingly).
+/// The fleet's per-session summaries in user order (test and inspection
+/// entry; retains one summary per session, so size the fleet
+/// accordingly).
 pub fn run_scale_summaries(
     config: &FleetConfig,
     network: &NetworkTrace,
@@ -1094,34 +919,6 @@ pub fn run_scale_summaries(
     run_scale_shards(config, network, faults, false)
         .into_iter()
         .flat_map(|shard| shard.summaries)
-        .collect()
-}
-
-/// Reference semantics: every session driven alone on its own queue (no
-/// interleaving at all). [`run_scale_summaries`] must match this
-/// exactly — sessions share nothing mutable, so the global queue is
-/// observationally a bundle of independent per-session queues.
-pub fn run_scale_sessions_isolated(
-    config: &FleetConfig,
-    network: &NetworkTrace,
-    faults: &FaultPlan,
-) -> Vec<SessionSummary> {
-    let env = ScaleEnv::new(config, network, faults);
-    (0..config.sessions)
-        .map(|index| {
-            let mut drivers = vec![ScaleDriver::new(&env, index)];
-            let _ = drive_sessions_via(
-                &mut drivers,
-                ScaleDriver::start,
-                |driver, _, kind, sched| {
-                    driver.on_event(kind, sched, None);
-                },
-            );
-            drivers
-                .pop()
-                .map(|driver| driver.into_telemetry_parts(None).0)
-                .unwrap_or_default()
-        })
         .collect()
 }
 
@@ -1136,37 +933,6 @@ mod tests {
         let faults =
             FaultPlan::generate(FaultConfig::chaos_default(), 300.0, 42).and_outage(40.0, 6.0);
         (network, faults)
-    }
-
-    #[test]
-    fn queue_orders_by_time_then_session_then_seq() {
-        let a = QueuedEvent {
-            time_bits: 1.0f64.to_bits(),
-            session: 3,
-            seq: 9,
-            kind: EventKind::Replan,
-        };
-        let b = QueuedEvent {
-            time_bits: 2.0f64.to_bits(),
-            session: 0,
-            seq: 0,
-            kind: EventKind::Replan,
-        };
-        let c = QueuedEvent {
-            time_bits: 1.0f64.to_bits(),
-            session: 4,
-            seq: 0,
-            kind: EventKind::Replan,
-        };
-        assert!(a < b, "earlier time wins regardless of session");
-        assert!(a < c, "same time: lower session index first");
-        let mut heap = BinaryHeap::new();
-        for e in [b, c, a] {
-            heap.push(Reverse(e));
-        }
-        assert_eq!(heap.pop().map(|Reverse(e)| e), Some(a));
-        assert_eq!(heap.pop().map(|Reverse(e)| e), Some(c));
-        assert_eq!(heap.pop().map(|Reverse(e)| e), Some(b));
     }
 
     #[test]
@@ -1188,20 +954,16 @@ mod tests {
         }
     }
 
+    /// Golden per-session `SessionSummary` JSON bytes of the 16 × 20
+    /// chaos fleet (seed 99): every f64 of every session, in user order.
     #[test]
-    fn interleaved_fleet_matches_isolated_sessions() {
+    fn session_summaries_are_pinned() {
         let (network, faults) = chaos_inputs();
         let config = FleetConfig::new(16, 20, 99);
-        let interleaved = run_scale_summaries(&config, &network, &faults);
-        let isolated = run_scale_sessions_isolated(&config, &network, &faults);
-        assert_eq!(interleaved.len(), isolated.len());
-        for (i, (a, b)) in interleaved.iter().zip(&isolated).enumerate() {
-            assert_eq!(a, b, "session {i} diverged under interleaving");
-        }
-        // Byte-level too: the JSON carries every f64 exactly.
+        let summaries = run_scale_summaries(&config, &network, &faults);
         assert_eq!(
-            to_string(&interleaved).unwrap(),
-            to_string(&isolated).unwrap()
+            to_string(&summaries).unwrap(),
+            include_str!("../tests/fixtures/scale_summaries_chaos_16x20_seed99.json")
         );
     }
 
@@ -1371,11 +1133,11 @@ mod tests {
     }
 
     #[test]
-    fn driver_hot_state_is_compact() {
-        // The fleet's memory story rests on the driver being a bundle of
-        // scalars; the window log and sampled trace are boxed out so the
-        // event loop's hot working set stays small, and a per-segment
-        // vector here would blow both budgets immediately.
+    fn driver_state_is_compact() {
+        // The fleet retains one summary per session until the fold, so
+        // its size bounds fleet memory; the driver and its in-flight
+        // download stay bundles of scalars (a per-segment vector here
+        // would grow with session length).
         assert!(
             std::mem::size_of::<ScaleDriver>() <= 640,
             "ScaleDriver grew to {} bytes",

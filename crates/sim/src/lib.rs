@@ -23,11 +23,11 @@
 //! * [`multiclient`] — many clients sharing one benign bottleneck link
 //!   (processor sharing, no faults: the retry ladder lives only in
 //!   [`resilience`]),
-//! * [`fleet`] — the discrete-event fleet engine: many sessions on one
-//!   logical-time queue with O(100 B) hot state each, deterministically
-//!   sharded and bit-identical to the loop engine at any thread count;
-//!   [`fleet::run_scale_fleet`] is the one scale-fleet entry, with or
-//!   without telemetry.
+//! * [`fleet`] — the scale fleet: many synthetic sessions with
+//!   O(100 B) state each, run as per-session loops on deterministic
+//!   shards and folded in user order, so results are identical at any
+//!   thread count; [`fleet::run_scale_fleet`] is the one scale-fleet
+//!   entry, with or without telemetry.
 //!
 //! # Example
 //!
@@ -54,8 +54,7 @@ pub use buffer::{BufferStep, PlaybackBuffer};
 pub use decoder::DecoderPipeline;
 pub use error::SimError;
 pub use fleet::{
-    drive_sessions, run_scale_fleet, shard_ranges, EngineStats, EventKind, FleetConfig,
-    FleetReport, Scheduler, SessionDriver, SessionSummary,
+    run_scale_fleet, shard_ranges, EngineStats, FleetConfig, FleetReport, SessionSummary,
 };
 pub use metrics::{SegmentRecord, SegmentTiming, SessionMetrics};
 pub use multiclient::{simulate_shared_link, ClientOutcome, MulticlientConfig};

@@ -23,9 +23,8 @@
 //! The paper's benign world is the same machine with
 //! [`FaultPlan::none`] and [`RetryPolicy::disabled`]: no fault fires, the
 //! single attempt waits as long as the payload takes, and only the Eq. 6
-//! buffer dynamics remain. The loop engine (`core::client`) and the
-//! event-driven fleet engine ([`crate::fleet`]) both step this struct,
-//! which is why their outputs are bit-identical.
+//! buffer dynamics remain. The paper client (`core::client`) and the
+//! scale fleet ([`crate::fleet`]) both step this struct.
 //!
 //! Every path is deterministic: the fault plan is a pure function of its
 //! seed and the policy arithmetic is plain `f64`, so same-seed replays
@@ -274,6 +273,18 @@ impl DownloadOutcome {
     pub fn is_delivered(&self) -> bool {
         matches!(self, DownloadOutcome::Delivered { .. })
     }
+
+    /// Playback stall the outcome charges, seconds: the delivered
+    /// timing's stall, or the blackout beyond the skipped segment's own
+    /// duration.
+    pub fn stall_sec(&self) -> f64 {
+        match self {
+            DownloadOutcome::Delivered { timing, .. } => timing.stall_sec,
+            DownloadOutcome::Skipped { blackout_sec, .. } => {
+                (blackout_sec - SEGMENT_DURATION_SEC).max(0.0)
+            }
+        }
+    }
 }
 
 /// The shared, read-only inputs of a step-wise download: everything a
@@ -300,8 +311,8 @@ pub struct DownloadEnv<'a> {
 
 /// In-flight state of one segment's resilient download — the "program
 /// counter" between [`SessionCore::step_download`] calls. `Copy` and a
-/// handful of scalars by design: this is the only per-download state the
-/// event-driven fleet engine retains, so its size bounds fleet memory.
+/// handful of scalars by design: a session holds exactly one while a
+/// download is open.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DownloadState {
     /// Segment being fetched (also the fault key, offset by
@@ -325,9 +336,8 @@ pub struct DownloadState {
 
 /// The mutable heart of a session's downloads: playback buffer, wall
 /// clock, delivery count and fault tallies — ~100 bytes, no vectors.
-/// Both engines (the `core::client` loop and the [`crate::fleet`] event
-/// queue) drive downloads through this same struct, which is the
-/// mechanical half of the bit-identical-replay argument.
+/// The paper client (`core::client`) and the scale fleet
+/// ([`crate::fleet`]) drive downloads through this same struct.
 #[derive(Debug, Clone)]
 pub struct SessionCore {
     buffer: PlaybackBuffer,
@@ -476,8 +486,7 @@ impl SessionCore {
     /// trailing backoff): `None` means the download is still in flight —
     /// call again; `Some` is the final outcome (delivered, or skipped
     /// once attempts/deadline are exhausted). One call corresponds to
-    /// one iteration of the original retry loop, which is what makes the
-    /// loop and event engines bit-identical.
+    /// one iteration of the retry loop.
     ///
     /// `request(rung)` maps a degradation rung to the bits to fetch:
     /// rung 0 is the controller's original plan and each subsequent rung

@@ -313,6 +313,7 @@ pub fn from_str<T: FromJson>(text: &str) -> Result<T, JsonError> {
 /// Returns [`JsonError::Parse`] on malformed input.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -326,6 +327,7 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -483,11 +485,14 @@ impl<'a> Parser<'a> {
                     return Err(self.err("control character in string"));
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so this
-                    // is always well-formed).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("peeked non-empty");
+                    // Consume one UTF-8 scalar, decoded from the input
+                    // `&str` at `pos` (O(1): `pos` only ever advances by
+                    // whole scalars, so it sits on a char boundary).
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -544,8 +549,10 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number tokens are ASCII");
+        let text = self
+            .text
+            .get(start..self.pos)
+            .ok_or_else(|| JsonError::Parse(start, "invalid number".into()))?;
         if integral {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Json::Int(i));
@@ -1047,6 +1054,57 @@ mod tests {
             "+1",
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn long_non_ascii_strings_parse_and_roundtrip() {
+        // Multi-byte scalars of every width, repeated: decoding takes one
+        // scalar per step and never rescans the rest of the input, so a
+        // long non-ASCII string parses in linear time.
+        let original: String = "é360°視界🎥".repeat(20_000);
+        let text = to_string(&original).unwrap();
+        assert_eq!(from_str::<String>(&text).unwrap(), original);
+        let parsed = parse(&text).unwrap();
+        assert_eq!(parsed, Json::Str(original.clone()));
+        assert_eq!(to_string(&parsed).unwrap(), text);
+    }
+
+    crate::proptest! {
+        /// Arbitrary bytes, lossily decoded to text: `parse` returns
+        /// `Ok` or `Err` and never panics, and whatever parses prints
+        /// back to text that parses to the same tree.
+        #[test]
+        fn parse_never_panics_on_arbitrary_text(
+            bytes in crate::prop::collection::vec(0u32..256, 0..256),
+        ) {
+            let bytes: Vec<u8> = bytes.iter().map(|&b| b as u8).collect();
+            let text = String::from_utf8_lossy(&bytes);
+            if let Ok(tree) = parse(&text) {
+                let printed = to_string(&tree).unwrap();
+                crate::prop_assert_eq!(parse(&printed).unwrap(), tree);
+            }
+        }
+
+        /// The same over mutated valid documents, which reach deeper
+        /// into the grammar than uniform bytes do.
+        #[test]
+        fn parse_never_panics_on_mutated_documents(
+            edits in crate::prop::collection::vec((0usize..4096, 0u32..256), 1..8),
+        ) {
+            let mut bytes =
+                r#"{"a":[1,-2.5e3,true,null,"x\u00e9🎥\n",{"b":{}}],"c":"360°"}"#
+                    .as_bytes()
+                    .to_vec();
+            for (at, byte) in edits {
+                let at = at % bytes.len();
+                bytes[at] = byte as u8;
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            if let Ok(tree) = parse(&text) {
+                let printed = to_string(&tree).unwrap();
+                crate::prop_assert_eq!(parse(&printed).unwrap(), tree);
+            }
         }
     }
 

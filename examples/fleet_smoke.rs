@@ -1,4 +1,4 @@
-//! Fleet smoke: a 10k-session event-driven fleet, offline + deterministic.
+//! Fleet smoke: a 10k-session scale fleet, offline + deterministic.
 //!
 //! ```sh
 //! cargo run --release --example fleet_smoke

@@ -84,14 +84,14 @@ echo "==> shared-link smoke (cell_contention: K clients on one benign cell)"
 # population sweep; set -e fails the gate on any panic or non-zero exit.
 cargo run --release --offline --example cell_contention
 
-echo "==> fleet equivalence (blocking: event engine vs loop engine, full paper matrix)"
-# The event-driven fleet engine must be bit-identical to the loop
-# engine. The quick tier already ran in the workspace test pass above;
-# this stage adds the #[ignore]d 48-user x 8-video paper matrix (benign
-# + chaos) in release, which is the PR's acceptance pin.
+echo "==> fleet equivalence (blocking: fanned-out vs sequential sessions, full paper matrix)"
+# Fanning paper sessions out across workers must leave every session
+# bit-identical to running them one after another. The quick tier
+# already ran in the workspace test pass above; this stage adds the
+# #[ignore]d 48-user x 8-video paper matrix (benign + chaos) in release.
 cargo test --release -q --offline --test fleet_equivalence -- --include-ignored
 
-echo "==> fleet smoke (10k-session event-driven fleet, offline + deterministic)"
+echo "==> fleet smoke (10k-session scale fleet, offline + deterministic)"
 # Runs the sim::fleet scale engine over a seeded chaos plan and exits
 # non-zero unless every slot completes, two same-seed runs and every
 # worker count serialize byte-identically, and the folded fleet.*
@@ -119,6 +119,13 @@ for key in ee360.timeseries.v1 window_sec t_start_sec stall_hist \
   grep -q "\"${key}\"" results/fleet_timeseries.json \
     || { echo "fleet timeseries missing key: ${key}" >&2; exit 1; }
 done
+# Both fleet smoke runs regenerate tracked artifacts (the tracked
+# fleet_report.json is the --timeseries run's). Inside a git work tree
+# they must match the committed copies byte for byte.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  git diff --exit-code -- results/fleet_report.json results/fleet_timeseries.json \
+    || { echo "fleet artifacts drifted from the committed copies" >&2; exit 1; }
+fi
 
 echo "==> perf smoke (tracked baseline, quick mode; regression-gated)"
 # Emits BENCH_perf.json (repo root, the one copy) with the solver

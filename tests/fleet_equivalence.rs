@@ -1,24 +1,24 @@
-//! The heart of the fleet PR: the event engine must be a *perfect*
-//! stand-in for the loop engine.
+//! Fanning sessions out must not change them.
 //!
-//! `ee360::core::fleet` drives full paper sessions from a discrete-event
-//! queue; `run_session_traced` runs the same sessions as
-//! closed loops. These tests pin them **bit-identical** — per-session
+//! `ee360::core::fleet::fleet_sessions_traced` fans a cell's paper
+//! sessions out across workers and merges their recorders in user order;
+//! `run_session_traced` runs the same sessions one after another as
+//! closed loops. These tests pin the two **bit-identical** — per-session
 //! metrics JSON (every QoE/energy/stall f64), the per-session
-//! QoE/energy/stall tuples and `ResilienceCounters` by exact bits, the
-//! aggregated `SchemeOutcome`, and the merged obs report bytes — across
-//! fleet sizes N ∈ {1, 4, 48}, benign and chaos fault plans, and
-//! worker counts ∈ {1, 4, 16}. A seeded property test varies the fault
-//! plan itself. The `#[ignore]`d matrix test extends the same pin to the
-//! paper's full 48-user × 8-video evaluation and is run in release by
-//! `scripts/ci.sh`.
+//! QoE/energy/stall tuples and `ResilienceCounters` by exact bits, and
+//! the merged obs report bytes — across fleet sizes N ∈ {1, 4, 48},
+//! benign and chaos fault plans, and worker counts ∈ {1, 4, 16}. A seeded
+//! property test varies the fault plan itself. Golden pins fix the chaos
+//! cell's aggregate, report bytes and per-kind tallies. The `#[ignore]`d
+//! matrix test extends the equivalence to the paper's full 48-user ×
+//! 8-video evaluation and is run in release by `scripts/ci.sh`.
 
 use std::sync::OnceLock;
 
 use ee360::abr::controller::Scheme;
 use ee360::core::client::{make_controller, run_session_traced, SessionSetup};
 use ee360::core::experiment::{Evaluation, ExperimentConfig};
-use ee360::core::fleet::{fleet_sessions_traced, run_fleet_traced};
+use ee360::core::fleet::fleet_sessions_traced;
 use ee360::obs::{export, Level, Record, Recorder};
 use ee360::sim::metrics::SessionMetrics;
 use ee360::sim::resilience::RetryPolicy;
@@ -44,9 +44,10 @@ fn eval_with_users(n: usize, max_segments: usize) -> Evaluation {
     Evaluation::prepare_videos_threaded(config, &VideoCatalog::paper_default(), Some(&[2]), 1)
 }
 
-/// The loop-engine reference: every user as one closed loop, recorders
-/// merged in user order — the exact `Evaluation::run_traced` sequence,
-/// spelled out so the per-session metrics stay accessible.
+/// The sequential reference: every user as one closed loop, one after
+/// another, recorders merged in user order — the `Evaluation::run_traced`
+/// merge sequence, spelled out so the per-session metrics stay
+/// accessible.
 fn loop_reference(
     eval: &Evaluation,
     video: usize,
@@ -89,8 +90,8 @@ fn report_bytes(rec: &Recorder) -> String {
     to_string(&export::report_json(rec)).expect("obs report serializes")
 }
 
-/// Asserts loop and fleet runs are bit-identical at every level the
-/// ISSUE names: session JSON, QoE/energy/stall bits, counters, report.
+/// Asserts sequential and fanned-out runs are bit-identical at every
+/// level: session JSON, QoE/energy/stall bits, counters, report.
 fn assert_bit_identical(
     label: &str,
     loop_sessions: &[SessionMetrics],
@@ -158,7 +159,7 @@ fn fleet_matches_loop_across_sizes_plans_and_threads() {
                     threads,
                     &mut fleet_rec,
                 );
-                assert!(stats.events > 0, "engine must dispatch events");
+                assert!(stats.events > 0, "sessions must be tallied");
                 assert_bit_identical(
                     &format!("N={n} plan={plan_label} threads={threads}"),
                     &loop_sessions,
@@ -173,8 +174,8 @@ fn fleet_matches_loop_across_sizes_plans_and_threads() {
 
 /// The robust controller is stateful across segments (residual and
 /// margin sketches warm as outcomes arrive), which makes it the
-/// sharpest probe of engine equivalence: any ordering difference in how
-/// the engines deliver outcomes would skew a sketch and fork the plans.
+/// sharpest probe of fan-out equivalence: any ordering difference in how
+/// outcomes reach it would skew a sketch and fork the plans.
 #[test]
 fn robust_mpc_fleet_matches_loop() {
     let policy = RetryPolicy::default_mobile();
@@ -210,29 +211,87 @@ fn robust_mpc_fleet_matches_loop() {
     }
 }
 
+/// Golden `SchemeOutcome` bytes of the 4-user × 15-segment chaos cell
+/// (video 2, Ours).
+const PINNED_CELL_OUTCOME: &str = concat!(
+    r#"{"scheme":"Ours","video_id":2,"users":4,"segments":15,"#,
+    r#""mean_energy_mj_per_segment":1443.648853254381,"#,
+    r#""mean_transmission_mj":944.7188532543811,"mean_decode_mj":317.14599999999984,"#,
+    r#""mean_render_mj":181.78400000000002,"mean_qoe":80.30205737679651,"#,
+    r#""mean_quality":91.44393329408669,"mean_variation":5.196741575184199,"#,
+    r#""mean_rebuffering":5.945134342105964,"mean_stall_sec":3.818921525679289,"#,
+    r#""mean_quality_level":4.133333333333334,"mean_fps":29.6}"#
+);
+
+/// Golden merged obs-report bytes (Detail level) of the same cell.
+const PINNED_CELL_REPORT: &str = concat!(
+    r#"{"schema":"ee360-obs-report-v1","level":"detail","events_recorded":264,"#,
+    r#""events_dropped":0,"spans":{},"metrics":{"counters":{"experiment.sessions":4,"#,
+    r#""mpc.memo_hits":44,"mpc.memo_misses":256,"mpc.plans":60,"#,
+    r#""mpc.states_expanded":44060,"resilience.attempts":68,"resilience.corruptions":4,"#,
+    r#""resilience.decoder_failures":4,"resilience.losses":4,"resilience.retries":8,"#,
+    r#""resilience.timeouts":4},"gauges":{"session.segments":15.0},"histograms":{"#,
+    r#""energy.decode_mj":{"count":60,"sum":19028.75999999999,"min":301.65,"#,
+    r#""max":319.53,"p50":319.53,"p95":319.53,"p99":319.53,"buckets":[[512.0,60]]},"#,
+    r#""energy.render_mj":{"count":60,"sum":10907.04,"min":170.89000000000001,"#,
+    r#""max":183.46,"p50":183.46,"p95":183.46,"p99":183.46,"buckets":[[256.0,60]]},"#,
+    r#""energy.transmission_mj":{"count":64,"sum":56683.13119526287,"#,
+    r#""min":249.82200960883338,"max":1655.554791322327,"p50":1024.0,"#,
+    r#""p95":1655.554791322327,"p99":1655.554791322327,"#,
+    r#""buckets":[[256.0,4],[1024.0,48],[2048.0,12]]},"#,
+    r#""resilience.backoff_sec":{"count":8,"sum":2.0,"min":0.25,"max":0.25,"#,
+    r#""p50":0.25,"p95":0.25,"p99":0.25,"buckets":[[0.5,8]]},"#,
+    r#""resilience.recovery_sec":{"count":60,"sum":25.9675438199039,"min":0.0,"#,
+    r#""max":4.249999999999999,"p50":0.0000000009313225746154785,"#,
+    r#""p95":4.249999999999999,"p99":4.249999999999999,"#,
+    r#""buckets":[[0.0000000009313225746154785,48],[1.0,4],[2.0,4],[8.0,4]]},"#,
+    r#""resilience.wasted_bits":{"count":60,"sum":6145737.97192544,"min":0.0,"#,
+    r#""max":1536434.49298136,"p50":0.0000000009313225746154785,"#,
+    r#""p95":1536434.49298136,"p99":1536434.49298136,"#,
+    r#""buckets":[[0.0000000009313225746154785,56],[2097152.0,4]]},"#,
+    r#""session.stall_sec":{"count":60,"sum":15.275686102717156,"min":0.0,"#,
+    r#""max":3.2621005254725586,"p50":0.0000000009313225746154785,"#,
+    r#""p95":3.2621005254725586,"p99":3.2621005254725586,"#,
+    r#""buckets":[[0.0000000009313225746154785,52],[1.0,4],[4.0,4]]}}}}"#
+);
+
+/// Pins the chaos cell's aggregate (through `run_traced`), its merged
+/// report bytes (through both entry points), and the per-kind tallies `fleet_sessions_traced` counts:
+/// one replan per segment plus a terminal one per session, one completion
+/// per segment, one fault fire per unresolved download step, and a stall
+/// start/end pair per booking that stalled.
 #[test]
-fn fleet_outcome_aggregate_matches_run_traced() {
+fn chaos_cell_outcome_report_and_counts_are_pinned() {
     let eval = eval_with_users(4, 15);
     let faults = chaos_plan();
     let policy = RetryPolicy::default_mobile();
-    let mut loop_rec = Recorder::new(Level::Detail);
-    let loop_outcome = eval.run_traced(2, Scheme::Ours, &faults, &policy, &mut loop_rec);
-    let mut fleet_rec = Recorder::new(Level::Detail);
-    let fleet_outcome = run_fleet_traced(
-        &eval,
-        2,
-        Scheme::Ours,
-        &faults,
-        &policy,
-        eval.session_threads(),
-        &mut fleet_rec,
-    );
-    assert_eq!(
-        to_string(&fleet_outcome).unwrap(),
-        to_string(&loop_outcome).unwrap(),
-        "aggregated SchemeOutcome must match byte-for-byte"
-    );
-    assert_eq!(report_bytes(&loop_rec), report_bytes(&fleet_rec));
+    let mut rec = Recorder::new(Level::Detail);
+    let outcome = eval.run_traced(2, Scheme::Ours, &faults, &policy, &mut rec);
+    assert_eq!(to_string(&outcome).unwrap(), PINNED_CELL_OUTCOME);
+    assert_eq!(report_bytes(&rec), PINNED_CELL_REPORT);
+    for threads in [1usize, 4] {
+        let mut fleet_rec = Recorder::new(Level::Detail);
+        let (sessions, stats) = fleet_sessions_traced(
+            &eval,
+            2,
+            Scheme::Ours,
+            &faults,
+            &policy,
+            threads,
+            &mut fleet_rec,
+        );
+        assert_eq!(sessions.len(), 4);
+        assert_eq!(report_bytes(&fleet_rec), PINNED_CELL_REPORT);
+        let counts = (
+            stats.replans,
+            stats.download_completes,
+            stats.fault_fires,
+            stats.stall_starts,
+            stats.stall_ends,
+            stats.events,
+        );
+        assert_eq!(counts, (64, 60, 8, 8, 8, 148), "threads={threads}");
+    }
 }
 
 fn shared_eval() -> &'static Evaluation {
@@ -242,8 +301,8 @@ fn shared_eval() -> &'static Evaluation {
 
 proptest! {
     /// Seeded property: whatever the chaos plan (fault seed, outage
-    /// window) and worker count, the event engine replays the loop
-    /// engine bit-for-bit.
+    /// window) and worker count, the fanned-out run replays the
+    /// sequential one bit-for-bit.
     #[test]
     fn random_fault_plans_stay_bit_identical(
         seed in 0u64..10_000,
@@ -270,7 +329,8 @@ proptest! {
 
 /// The acceptance-criteria pin: the paper's full 48-user × 8-video
 /// matrix (40 train + 8 eval streamers per video, full-length videos),
-/// benign and chaos, loop vs event engine, bit-identical. Heavy — run in
+/// benign and chaos, sequential vs fanned out on 4 workers,
+/// bit-identical. Heavy — run in
 /// release via `scripts/ci.sh` (`--include-ignored`).
 #[test]
 #[ignore = "full paper matrix; scripts/ci.sh runs it in release"]

@@ -1,12 +1,12 @@
-//! Memory-bound regression gate for the fleet engine.
+//! Memory-bound regression gate for the scale fleet.
 //!
 //! Runs a 100k-session scale fleet behind the counting-allocator shim
 //! and asserts the peak heap stays under a pinned per-session budget.
-//! The fleet's scaling story rests on O(100 B) hot state per session
-//! (driver scalars + one retained summary, with shards streamed in
-//! bounded waves) — if anyone reintroduces a per-segment vector or
-//! starts retaining `SessionMetrics`, the peak jumps by orders of
-//! magnitude and this test fails loudly.
+//! The fleet's scaling story rests on O(100 B) retained per session
+//! (one scalar summary; each worker holds a single live session) — if
+//! anyone reintroduces a per-segment vector or starts retaining
+//! `SessionMetrics`, the peak jumps by orders of magnitude and this test
+//! fails loudly.
 //!
 //! A third gate does the same for one paper session: on a very long gaze
 //! trace its per-segment phases must not touch trace-sized memory.

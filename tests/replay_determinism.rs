@@ -10,7 +10,6 @@ use ee360::abr::controller::Scheme;
 use ee360::cluster::ptile::PtileConfig;
 use ee360::core::client::{make_controller, run_session, run_session_traced, SessionSetup};
 use ee360::core::experiment::{Evaluation, ExperimentConfig};
-use ee360::core::fleet::run_fleet_traced;
 use ee360::core::server::VideoServer;
 use ee360::geom::grid::TileGrid;
 use ee360::obs::{export, Level, Recorder};
@@ -212,11 +211,10 @@ fn obs_trace_and_report_are_byte_identical_across_replays() {
     assert_eq!(report_a, report_b);
 }
 
-/// The fleet engine extends the replay policy: one seed, one fleet.
-/// Both fleet flavours — the scale fleet (`sim::fleet`) and the
-/// event-driven paper sessions (`core::fleet`) — must reproduce their
-/// JSON report, merged obs report, and JSONL trace byte-for-byte, at
-/// any worker count.
+/// Fleets extend the replay policy: one seed, one fleet. Both the scale
+/// fleet (`sim::fleet`) and a cell of traced paper sessions
+/// (`Evaluation::run_traced`) must reproduce their JSON report, merged
+/// obs report, and JSONL trace byte-for-byte, at any worker count.
 #[test]
 fn fleet_runs_are_byte_identical_across_replays() {
     // Scale fleet: aggregate report + folded registry.
@@ -242,7 +240,7 @@ fn fleet_runs_are_byte_identical_across_replays() {
         "scale fleet must be thread-count independent"
     );
 
-    // Event-driven paper sessions: outcome + merged obs report + trace.
+    // Traced paper sessions: outcome + merged obs report + trace.
     let paper_run = || {
         let mut config = ExperimentConfig::quick_test();
         config.max_segments = Some(25);
@@ -250,13 +248,11 @@ fn fleet_runs_are_byte_identical_across_replays() {
         let faults =
             FaultPlan::generate(FaultConfig::chaos_default(), 400.0, 77).and_outage(30.0, 8.0);
         let mut rec = Recorder::new(Level::Detail);
-        let outcome = run_fleet_traced(
-            &eval,
+        let outcome = eval.run_traced(
             2,
             Scheme::Ours,
             &faults,
             &RetryPolicy::default_mobile(),
-            eval.session_threads(),
             &mut rec,
         );
         (
