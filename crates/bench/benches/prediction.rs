@@ -33,16 +33,26 @@ fn main() {
         });
     }
 
-    // The per-segment render-coverage computation (16×16 pixel samples).
+    // The per-segment render-coverage computation (16×16 pixel samples),
+    // cycling through a fixed set of viewports (some over a pole, some on
+    // tile edges) so every call does the full pass.
     {
         use ee360_geom::grid::TileGrid;
         use ee360_geom::region::TileRegion;
         use ee360_geom::viewport::{ViewCenter, Viewport};
         let grid = TileGrid::paper_default();
         let region = TileRegion::new(&grid, 1, 3, 3, 3);
-        let vp = Viewport::paper_fov(ViewCenter::new(12.0, -8.0));
+        let viewports: Vec<Viewport> = (0..64)
+            .map(|i| {
+                let yaw = -180.0 + i as f64 * 37.3;
+                let pitch = [-8.0, 30.0, -45.0, 0.0, 72.0, -85.0, 60.0, 15.5][i % 8];
+                Viewport::paper_fov(ViewCenter::new(yaw, pitch))
+            })
+            .collect();
+        let mut next = viewports.iter().cycle();
         bench.run("projection/pixel_coverage_16", || {
-            ee360_geom::projection::pixel_coverage(black_box(&vp), &region, &grid, 16)
+            let vp = next.next().unwrap_or(&viewports[0]);
+            ee360_geom::projection::pixel_coverage(black_box(vp), &region, &grid, 16)
         });
     }
 

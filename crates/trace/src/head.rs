@@ -106,6 +106,11 @@ pub enum HeadTraceError {
         /// Index of the offending sample.
         index: usize,
     },
+    /// A timestamp, yaw or pitch was NaN or infinite.
+    NonFiniteSample {
+        /// Index of the offending sample.
+        index: usize,
+    },
 }
 
 impl fmt::Display for HeadTraceError {
@@ -116,6 +121,9 @@ impl fmt::Display for HeadTraceError {
                 f,
                 "sample times must be strictly increasing (sample {index} does not advance)"
             ),
+            HeadTraceError::NonFiniteSample { index } => {
+                write!(f, "sample {index} has a non-finite time, yaw or pitch")
+            }
         }
     }
 }
@@ -128,9 +136,9 @@ impl HeadTrace {
     ///
     /// # Panics
     ///
-    /// Panics if `samples` is empty or timestamps are not strictly
-    /// increasing — the infallible wrapper around
-    /// [`HeadTrace::try_from_samples`].
+    /// Panics if `samples` is empty, holds a non-finite value, or its
+    /// timestamps are not strictly increasing — the infallible wrapper
+    /// around [`HeadTrace::try_from_samples`].
     pub fn from_samples(video_id: usize, user_id: usize, samples: Vec<(f64, f64, f64)>) -> Self {
         match Self::try_from_samples(video_id, user_id, samples) {
             Ok(trace) => trace,
@@ -139,9 +147,10 @@ impl HeadTrace {
         }
     }
 
-    /// Fallible [`HeadTrace::from_samples`]: empty input and
-    /// out-of-order timestamps come back as [`HeadTraceError`]s instead
-    /// of panicking — the path external datasets arrive through.
+    /// Fallible [`HeadTrace::from_samples`]: empty input, non-finite
+    /// values and out-of-order timestamps come back as
+    /// [`HeadTraceError`]s instead of panicking — the path external
+    /// datasets arrive through.
     pub fn try_from_samples(
         video_id: usize,
         user_id: usize,
@@ -149,6 +158,13 @@ impl HeadTrace {
     ) -> Result<Self, HeadTraceError> {
         if samples.is_empty() {
             return Err(HeadTraceError::EmptyTrace);
+        }
+        // Checked first: a NaN time would slip past the `<=` below.
+        if let Some(index) = samples
+            .iter()
+            .position(|&(t, yaw, pitch)| !(t.is_finite() && yaw.is_finite() && pitch.is_finite()))
+        {
+            return Err(HeadTraceError::NonFiniteSample { index });
         }
         if let Some(index) = samples.windows(2).position(|w| w[1].0 <= w[0].0) {
             return Err(HeadTraceError::NonIncreasingTime { index: index + 1 });
@@ -778,6 +794,20 @@ mod tests {
             s.center.yaw_deg().to_bits(),
             s.center.pitch_deg().to_bits(),
         )
+    }
+
+    #[test]
+    fn non_finite_samples_are_typed_errors() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for sample in [(bad, 0.0, 0.0), (0.5, bad, 0.0), (0.5, 0.0, bad)] {
+                let samples = vec![(0.0, 0.0, 0.0), sample, (1.0, 0.0, 0.0)];
+                assert_eq!(
+                    HeadTrace::try_from_samples(0, 0, samples).unwrap_err(),
+                    HeadTraceError::NonFiniteSample { index: 1 },
+                    "{sample:?}"
+                );
+            }
+        }
     }
 
     #[test]

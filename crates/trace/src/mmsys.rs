@@ -26,7 +26,7 @@ use std::path::Path;
 
 use ee360_geom::angles::rad_to_deg;
 
-use crate::head::HeadTrace;
+use crate::head::{HeadTrace, HeadTraceError};
 
 /// One parsed sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,8 +80,9 @@ impl From<std::io::Error> for MmsysError {
 ///
 /// # Errors
 ///
-/// Returns [`MmsysError::Malformed`] on short or non-numeric rows and
-/// [`MmsysError::Empty`] when no data rows survive.
+/// Returns [`MmsysError::Malformed`] on short rows and on values that are
+/// not finite numbers, and [`MmsysError::Empty`] when no data rows
+/// survive.
 pub fn parse_csv(text: &str) -> Result<Vec<MmsysSample>, MmsysError> {
     let mut out = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
@@ -101,11 +102,17 @@ pub fn parse_csv(text: &str) -> Result<Vec<MmsysSample>, MmsysError> {
                 reason: format!("expected at least 6 columns, got {}", cols.len()),
             });
         }
+        // `parse` accepts "NaN" and "inf"; a playback time or quaternion
+        // component must be a finite number.
         let num = |i: usize| -> Result<f64, MmsysError> {
-            cols[i].parse::<f64>().map_err(|_| MmsysError::Malformed {
-                line: line_no,
-                reason: format!("column {} is not a number: `{}`", i + 1, cols[i]),
-            })
+            let text = cols.get(i).copied().unwrap_or_default();
+            text.parse::<f64>()
+                .ok()
+                .filter(|x| x.is_finite())
+                .ok_or_else(|| MmsysError::Malformed {
+                    line: line_no,
+                    reason: format!("column {} is not a finite number: `{text}`", i + 1),
+                })
         };
         out.push(MmsysSample {
             playback_sec: num(1)?,
@@ -145,30 +152,32 @@ pub fn quaternion_to_yaw_pitch(q: (f64, f64, f64, f64)) -> (f64, f64) {
 /// # Errors
 ///
 /// Returns [`MmsysError::Empty`] for an empty sample list and
-/// [`MmsysError::Malformed`] if playback times are not strictly
-/// increasing.
+/// [`MmsysError::Malformed`] (with the 1-based sample index as `line`) if
+/// playback times are not strictly increasing or a time or gaze angle is
+/// not finite.
 pub fn to_head_trace(
     samples: &[MmsysSample],
     video_id: usize,
     user_id: usize,
 ) -> Result<HeadTrace, MmsysError> {
-    if samples.is_empty() {
-        return Err(MmsysError::Empty);
-    }
-    let mut rows = Vec::with_capacity(samples.len());
-    let mut last_t = f64::NEG_INFINITY;
-    for (i, s) in samples.iter().enumerate() {
-        if s.playback_sec <= last_t {
-            return Err(MmsysError::Malformed {
-                line: i + 1,
-                reason: "playback times must be strictly increasing".into(),
-            });
-        }
-        last_t = s.playback_sec;
-        let (yaw, pitch) = quaternion_to_yaw_pitch(s.quaternion);
-        rows.push((s.playback_sec, yaw, pitch));
-    }
-    Ok(HeadTrace::from_samples(video_id, user_id, rows))
+    let rows = samples
+        .iter()
+        .map(|s| {
+            let (yaw, pitch) = quaternion_to_yaw_pitch(s.quaternion);
+            (s.playback_sec, yaw, pitch)
+        })
+        .collect();
+    HeadTrace::try_from_samples(video_id, user_id, rows).map_err(|e| match e {
+        HeadTraceError::EmptyTrace => MmsysError::Empty,
+        HeadTraceError::NonIncreasingTime { index } => MmsysError::Malformed {
+            line: index + 1,
+            reason: "playback times must be strictly increasing".into(),
+        },
+        HeadTraceError::NonFiniteSample { index } => MmsysError::Malformed {
+            line: index + 1,
+            reason: "playback time or gaze angle is not finite".into(),
+        },
+    })
 }
 
 /// Loads one (user, video) CSV file into a [`HeadTrace`].
@@ -280,6 +289,103 @@ Timestamp,PlaybackTime,UnitQuaternion.w,UnitQuaternion.x,UnitQuaternion.y,UnitQu
     fn header_only_is_empty() {
         let err = parse_csv("Timestamp,PlaybackTime,w,x,y,z\n").unwrap_err();
         assert!(matches!(err, MmsysError::Empty));
+    }
+
+    #[test]
+    fn non_finite_values_are_malformed() {
+        for bad in ["NaN", "nan", "inf", "-inf", "infinity", "1e999"] {
+            for col in 1..6 {
+                let mut row = ["0.0", "0.5", "1.0", "0.0", "0.0", "0.0"];
+                row[col] = bad;
+                let err = parse_csv(&format!("0.0,0.4,1.0,0.0,0.0,0.0\n{}\n", row.join(",")))
+                    .unwrap_err();
+                assert!(
+                    matches!(err, MmsysError::Malformed { line: 2, .. }),
+                    "{bad} in column {col}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_samples_do_not_reach_the_trace() {
+        let sample = |playback_sec, quaternion| MmsysSample {
+            playback_sec,
+            quaternion,
+        };
+        let unit = (1.0, 0.0, 0.0, 0.0);
+        for bad in [
+            sample(f64::NAN, unit),
+            sample(f64::INFINITY, unit),
+            sample(0.5, (f64::NAN, 0.0, 0.0, 0.0)),
+            sample(0.5, (1.0, f64::NEG_INFINITY, 0.0, 0.0)),
+            // Finite but so large the rotated gaze overflows.
+            sample(0.5, (1e200, 1e200, 1e200, 1e200)),
+        ] {
+            let samples = [sample(0.0, unit), bad, sample(1.0, unit)];
+            assert!(
+                matches!(
+                    to_head_trace(&samples, 1, 1),
+                    Err(MmsysError::Malformed { line: 2, .. })
+                ),
+                "{bad:?}"
+            );
+        }
+    }
+
+    /// Whatever `parse_csv` and `to_head_trace` accept holds only finite
+    /// times and angles.
+    fn assert_finite_trace(text: &str) {
+        if let Ok(samples) = parse_csv(text) {
+            assert!(!samples.is_empty());
+            for s in &samples {
+                let (w, x, y, z) = s.quaternion;
+                assert!(
+                    [s.playback_sec, w, x, y, z].iter().all(|v| v.is_finite()),
+                    "{s:?}"
+                );
+            }
+            if let Ok(trace) = to_head_trace(&samples, 0, 0) {
+                for s in trace.switching_samples() {
+                    let (t, c) = (s.t_sec, s.center);
+                    assert!(t.is_finite() && c.yaw_deg().is_finite() && c.pitch_deg().is_finite());
+                }
+            }
+        }
+    }
+
+    ee360_support::proptest! {
+        /// Arbitrary bytes, lossily decoded: parsing returns `Ok` or a
+        /// typed error and never panics.
+        #[test]
+        fn parse_never_panics_on_arbitrary_bytes(
+            bytes in ee360_support::prop::collection::vec(0u32..256, 0..256),
+        ) {
+            let bytes: Vec<u8> = bytes.iter().map(|&b| b as u8).collect();
+            assert_finite_trace(&String::from_utf8_lossy(&bytes));
+        }
+
+        /// The same over mutated copies of a valid file: fields replaced
+        /// by tokens `f64::from_str` reads as non-finite, out of order or
+        /// empty, then byte edits.
+        #[test]
+        fn parse_never_panics_on_mutated_csv(
+            swaps in ee360_support::prop::collection::vec((0usize..4, 0usize..9, 0usize..6), 0..4),
+            edits in ee360_support::prop::collection::vec((0usize..4096, 0u32..256), 0..4),
+        ) {
+            let mut rows: Vec<Vec<&str>> =
+                SAMPLE_CSV.lines().map(|l| l.split(',').collect()).collect();
+            for (row, col, token) in swaps {
+                rows[row][col] = ["NaN", "inf", "-inf", "", "0.05", "1e999"][token];
+            }
+            let text: Vec<String> = rows.iter().map(|r| r.join(",")).collect();
+            let mut bytes = text.join("\n").into_bytes();
+            for (at, byte) in edits {
+                let at = at % bytes.len();
+                bytes[at] = byte as u8;
+            }
+            assert_finite_trace(&String::from_utf8_lossy(&bytes));
+        }
     }
 
     #[test]

@@ -91,6 +91,14 @@ echo "==> fleet equivalence (blocking: fanned-out vs sequential sessions, full p
 # #[ignore]d 48-user x 8-video paper matrix (benign + chaos) in release.
 cargo test --release -q --offline --test fleet_equivalence -- --include-ignored
 
+echo "==> pixel-coverage kernel sweep (blocking: boundary predicates vs trigonometry)"
+# The booking-coverage kernel decides each pixel sample's tile from the
+# tile boundaries instead of asin/atan2 and must bin every sample exactly
+# where the trigonometric path does. The seeded property already ran in
+# the workspace test pass above; this stage adds the #[ignore]d dense
+# sweep (lattice and tile-corner view centers on four grids) in release.
+cargo test --release -q --offline -p ee360-geom --lib projection:: -- --include-ignored
+
 echo "==> fleet smoke (10k-session scale fleet, offline + deterministic)"
 # Runs the sim::fleet scale engine over a seeded chaos plan and exits
 # non-zero unless every slot completes, two same-seed runs and every

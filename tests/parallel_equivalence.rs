@@ -94,3 +94,35 @@ fn matrix_sweep_identical_with_nested_fanout() {
         .collect();
     assert_eq!(parallel, sequential);
 }
+
+#[test]
+fn scheme_order_does_not_change_results() {
+    // No state may carry from one session to the next on a thread: the
+    // cells run in `Scheme::ALL` order across workers must equal the same
+    // cells run one at a time, in reverse order, on one thread.
+    let config = quick_config();
+    let catalog = VideoCatalog::paper_default();
+    let videos = [2usize, 6];
+    let eval = Evaluation::prepare_videos_threaded(config, &catalog, Some(&videos), 1);
+    let forward: Vec<String> = run_matrix(&eval, &videos, &Scheme::ALL, 2)
+        .iter()
+        .map(|o| json::to_string(o).unwrap())
+        .collect();
+    let cells: Vec<(usize, Scheme)> = videos
+        .iter()
+        .flat_map(|&v| Scheme::ALL.into_iter().map(move |s| (v, s)))
+        .collect();
+    let mut reversed: Vec<String> = cells
+        .iter()
+        .rev()
+        .map(|&(v, s)| {
+            let cell = run_matrix(&eval, &[v], &[s], 1);
+            json::to_string(&cell[0]).unwrap()
+        })
+        .collect();
+    reversed.reverse();
+    assert_eq!(forward.len(), cells.len());
+    for ((&(video, scheme), a), b) in cells.iter().zip(&forward).zip(&reversed) {
+        assert_eq!(a, b, "video {video} {scheme:?} depends on scheme order");
+    }
+}
