@@ -106,15 +106,14 @@ impl Scheme {
 pub struct SolverStats {
     /// DP solves performed (one per `plan` on the MPC path).
     pub plans: u64,
-    /// Candidate-set memo hits across all solves.
+    /// Always 0: the solver keeps no memo. Kept because the repository
+    /// benchmark (`perfbench`) still reads it (its `abr.memo_hit_ratio`
+    /// row reads 0) and pins a report carrying `mpc.memo_hits`.
     pub memo_hits: u64,
-    /// Candidate-set memo misses (sets built from scratch).
+    /// Always 0, like [`Self::memo_hits`].
     pub memo_misses: u64,
-    /// `(state, candidate)` transitions evaluated by the DP: full
-    /// candidate scans when a step row is built or the first decision
-    /// is chosen, collapsed-entry relaxations on the warm path — so a
-    /// row-cache-warm solve meters strictly fewer expansions than the
-    /// cold solve that seeded it.
+    /// `(state, candidate)` pairs the DP evaluated: per horizon step,
+    /// the live buffer states times the step's candidates.
     pub states_expanded: u64,
 }
 
@@ -267,8 +266,8 @@ pub trait Controller {
     /// Cumulative solver work counters, when the controller runs a
     /// solver worth metering. Default: `None` (the rate-based baselines
     /// do no search). Observability instrumentation diffs consecutive
-    /// snapshots to attribute memo hits/misses and states expanded to
-    /// individual plans.
+    /// snapshots to attribute solves and states expanded to individual
+    /// plans.
     fn solver_stats(&self) -> Option<SolverStats> {
         None
     }

@@ -1,13 +1,13 @@
-//! The straightforward MPC-DP formulation, retained verbatim from before
-//! the hot-path optimisation of [`crate::mpc`].
+//! The straightforward MPC-DP formulation, kept as the frozen oracle for
+//! [`crate::mpc`].
 //!
-//! [`solve_reference`] rebuilds every candidate set per plan, recomputes
+//! [`solve_reference`] builds every candidate set up front, recomputes
 //! the (8c) floor and per-candidate download/energy inside the per-state
-//! loop, and allocates fresh DP vectors per step — exactly the shape the
-//! optimised `solve_with_bandwidths` started from. It exists so the test
-//! suite (and the `perf_baseline` binary) can pin the optimised solver
-//! **bit-identical** to this one across randomised contexts: both must
-//! return the same `(QualityLevel, fps, bits)` down to the last ulp.
+//! loop, and allocates fresh DP vectors per step. It exists so the test
+//! suite (and the `perf_baseline` binary) can pin
+//! `MpcController::solve_horizon` **bit-identical** to this one across
+//! randomised contexts: both must return the same
+//! `(QualityLevel, fps, bits)` down to the last ulp.
 
 use ee360_video::ladder::QualityLevel;
 
@@ -17,8 +17,7 @@ use crate::sizer::FOV_AREA_FRACTION;
 
 /// Solves the horizon DP the straightforward way and returns the first
 /// segment's decision. Semantics (state grid, transition, tie-breaking,
-/// pathological fallback) are the pre-optimisation `solve_with_bandwidths`,
-/// unchanged.
+/// pathological fallback) are those of `MpcController::solve_horizon`.
 ///
 /// # Panics
 ///
@@ -107,14 +106,4 @@ pub fn solve_reference(
             (c.quality, c.fps, c.bits)
         }
     }
-}
-
-/// Convenience wrapper mirroring the optimised solver's public entry: a
-/// constant-bandwidth horizon at the context's estimate.
-pub fn plan_reference(
-    controller: &MpcController,
-    ctx: &SegmentContext,
-) -> (QualityLevel, f64, f64) {
-    let bandwidths = vec![ctx.predicted_bandwidth_bps; controller.config().horizon];
-    solve_reference(controller, ctx, &bandwidths)
 }

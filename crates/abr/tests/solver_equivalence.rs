@@ -1,13 +1,13 @@
-//! Bit-exactness gate for the optimised MPC-DP solver.
+//! Bit-exactness gate for the controller's MPC-DP solver.
 //!
-//! The optimised solver (flat-array memoised candidate sets, cached
-//! per-(set, bandwidth) step rows with collapsed transitions reused
-//! across adjacent horizons, flat scratch buffers) must return decisions
-//! **bit-identical** to the retained straightforward formulation in
-//! `ee360_abr::reference` — same `QualityLevel`, and `fps` and `bits`
-//! equal down to the last ulp. Randomised contexts come from the seeded
-//! in-repo property harness; repeat calls exercise the memo- and
-//! row-warm paths as well as the cold ones.
+//! `MpcController::solve_horizon` (one candidate vector and four DP
+//! vectors reused across steps and solves, variants listed once per
+//! ladder) must return decisions **bit-identical** to the retained
+//! straightforward formulation in `ee360_abr::reference` — same
+//! `QualityLevel`, and `fps` and `bits` equal down to the last ulp.
+//! Randomised contexts come from the seeded in-repo property harness;
+//! repeat calls on one controller check that reusing its scratch leaves
+//! nothing behind.
 
 use ee360_abr::mpc::{MpcConfig, MpcController};
 use ee360_abr::plan::SegmentContext;
@@ -65,20 +65,20 @@ proptest! {
         let controller = MpcController::paper_default();
         let ctx = context_from(&contents, bandwidths[0], buffer, s_fov, area, bg);
         assert_bit_identical(&controller, &ctx, &bandwidths)?;
-        // Memo-warm repeat: the cache must return what a fresh computation
-        // would, bit for bit.
+        // Repeat on the same controller: reused scratch must leave the
+        // answer unchanged, bit for bit.
         assert_bit_identical(&controller, &ctx, &bandwidths)?;
     }
 
     #[test]
-    fn warm_memo_stays_exact_across_a_session_shaped_stream(
+    fn reused_scratch_stays_exact_across_a_session_shaped_stream(
         base_si in 20.0f64..90.0,
         base_ti in 2.0f64..50.0,
         bw in 0.8e6f64..16.0e6,
         s_fov in 0.0f64..60.0,
     ) {
         // One controller across many segments with overlapping horizon
-        // windows — the memo-reuse case the optimisation targets.
+        // windows, the way a session drives it.
         let controller = MpcController::paper_default();
         let contents: Vec<(f64, f64)> = (0..12)
             .map(|i| (base_si + (i % 5) as f64 * 2.0, base_ti + (i % 3) as f64 * 3.0))
@@ -106,13 +106,13 @@ proptest! {
 }
 
 #[test]
-fn ladder_swap_invalidates_the_memo() {
-    // with_ladder must drop cached sets: plans after the swap match a
-    // fresh single-rate controller, not the old ladder's cache.
+fn ladder_swap_replaces_the_variants() {
+    // with_ladder must re-list the variants: plans after the swap match a
+    // fresh single-rate controller, not the old ladder's.
     let controller = MpcController::paper_default();
     let ctx = context_from(&[(60.0, 25.0); 5], 6.0e6, 3.0, 8.0, 9.0 / 32.0, 3);
     let bandwidths = [6.0e6; 5];
-    let _ = controller.solve_horizon(&ctx, &bandwidths); // warm the memo
+    let _ = controller.solve_horizon(&ctx, &bandwidths); // use the scratch first
     let swapped = controller.with_ladder(EncodingLadder::single_rate(30.0));
     let fresh = MpcController::paper_default().with_ladder(EncodingLadder::single_rate(30.0));
     let (q_a, f_a, b_a) = swapped.solve_horizon(&ctx, &bandwidths);

@@ -1,13 +1,17 @@
 //! Tracked performance baseline (`BENCH_perf.json`).
 //!
-//! Reports the three hot-path figures the optimisation PRs steer by —
-//! solver plans/sec (optimised vs. the retained straightforward
+//! Reports three hot-path figures — solver cost on real paper-session
+//! inputs (the controller's DP vs. the retained straightforward
 //! reference), single-session wall time, and the quick-matrix sweep wall
 //! time at 1 and N threads — and writes them to `BENCH_perf.json` at the
-//! repo root, the one copy, so the perf trajectory is machine-tracked
-//! from PR 4 onward. Speedups are computed against the
-//! pinned seed-sequential figures measured immediately before the first
-//! optimisation landed.
+//! repo root, the one copy, so the perf trajectory is machine-tracked.
+//! Speedups are computed against the pinned seed-sequential figures
+//! measured immediately before the first optimisation landed.
+//!
+//! The solver figures replay the contexts Ours plans through the DP in
+//! the quick-test paper sessions (videos 2 and 6): each alternation pass
+//! runs every session's contexts in order through a fresh
+//! `MpcController`, then through `reference::solve_reference`.
 //!
 //! `EE360_BENCH_QUICK=1` shrinks the measurement windows for the CI
 //! smoke stage; the JSON records which mode produced it.
@@ -25,19 +29,19 @@
 //! 10%.
 //!
 //! Machine normalisation: the retained reference solver *is* the seed
-//! algorithm, so its live plans/sec is a canary for how fast this
-//! machine is running right now relative to when the seed figures were
-//! pinned (shared boxes throttle; raw wall-clock comparisons against
-//! pinned numbers drift by ±40%). Normalised speedups divide the pinned
-//! baselines by `canary_scale = reference_plans_per_sec /
-//! SEED_PLANS_PER_SEC` so the tracked trajectory reflects code, not
-//! machine weather. Both raw and normalised figures are recorded.
+//! algorithm, so its live plans/sec on [`solver_contexts`] is a canary
+//! for how fast this machine is running right now relative to when the
+//! seed figures were pinned (shared boxes throttle; raw wall-clock
+//! comparisons against pinned numbers drift by ±40%). Normalised
+//! speedups divide the pinned baselines by `canary_scale =
+//! canary_plans_per_sec / SEED_PLANS_PER_SEC` so the tracked trajectory
+//! reflects code, not machine weather. Both figures are recorded.
 
 use std::time::Instant;
 
 use ee360_abr::controller::{Controller, Scheme};
-use ee360_abr::mpc::MpcController;
-use ee360_abr::plan::SegmentContext;
+use ee360_abr::mpc::{MpcConfig, MpcController};
+use ee360_abr::plan::{SegmentContext, SegmentPlan};
 use ee360_abr::reference::solve_reference;
 use ee360_abr::robust::{RobustMpcController, POINT_SLACK_DEG};
 use ee360_cluster::ptile::PtileConfig;
@@ -68,6 +72,10 @@ const SEED_PLANS_PER_SEC: f64 = 83_478.0;
 const SEED_SESSION_MS: f64 = 5.082;
 const SEED_SWEEP_MS: f64 = 65.51;
 
+/// Tag of the solver replay protocol; the gate only compares baselines
+/// that carry the same tag.
+const SOLVER_PROTOCOL: &str = "paper-session-replay";
+
 /// A deterministic stream of solver inputs shaped like a real session:
 /// sliding content windows, cycling buffer levels and switching speeds.
 fn solver_contexts() -> Vec<SegmentContext> {
@@ -93,6 +101,85 @@ fn solver_contexts() -> Vec<SegmentContext> {
         .collect()
 }
 
+/// Wraps the Ours controller and keeps a copy of every context it plans
+/// through the DP (the no-Ptile fallback runs no solve and is skipped).
+struct RecordingController {
+    inner: MpcController,
+    contexts: Vec<SegmentContext>,
+}
+
+impl Controller for RecordingController {
+    // The session plans through the trait's default `plan_into`, which
+    // lands here. Ours' paper configuration ignores throughput feedback
+    // and has nothing to reset, so those hooks keep their defaults.
+    fn plan(&mut self, ctx: &SegmentContext) -> SegmentPlan {
+        if ctx.ptile_available {
+            self.contexts.push(ctx.clone());
+        }
+        self.inner.plan(ctx)
+    }
+
+    fn scheme(&self) -> Scheme {
+        Scheme::Ours
+    }
+}
+
+/// The solver inputs of real paper sessions, one list per session in
+/// planning order: the contexts Ours plans through the DP in every
+/// quick-test session of `videos`.
+fn session_contexts(
+    eval: &Evaluation,
+    config: ExperimentConfig,
+    mpc: MpcConfig,
+    videos: &[usize],
+) -> Vec<Vec<SegmentContext>> {
+    let mut sessions = Vec::new();
+    for &video in videos {
+        let server = eval.server(video).expect("video prepared");
+        for user in eval.eval_users(video) {
+            let setup = SessionSetup {
+                server,
+                user,
+                network: eval.network(),
+                phone: config.phone,
+                max_segments: config.max_segments,
+            };
+            let mut recorder = RecordingController {
+                inner: MpcController::new(mpc),
+                contexts: Vec::new(),
+            };
+            let _ = run_session_traced(
+                &mut recorder,
+                &setup,
+                &FaultPlan::none(),
+                &RetryPolicy::disabled(),
+                &mut NoopRecorder,
+            );
+            sessions.push(recorder.contexts);
+        }
+    }
+    sessions
+}
+
+/// Plans/sec of the reference solver over the synthetic contexts: the
+/// machine canary, on the same inputs the seed figure was pinned on.
+fn canary_plans_per_sec(
+    reference: &MpcController,
+    contexts: &[SegmentContext],
+    window_ms: u128,
+) -> f64 {
+    let t = Instant::now();
+    let mut n = 0u64;
+    while t.elapsed().as_millis() < window_ms {
+        for ctx in contexts {
+            let bandwidths = vec![ctx.predicted_bandwidth_bps; 5];
+            let _ = std::hint::black_box(solve_reference(reference, ctx, &bandwidths));
+            n += 1;
+        }
+    }
+    n as f64 / t.elapsed().as_secs_f64()
+}
+
 fn obj(fields: Vec<(&str, Json)>) -> Json {
     Json::Obj(
         fields
@@ -107,34 +194,42 @@ fn main() {
     let (solver_window_ms, session_reps, sweep_reps) =
         if quick { (150, 3, 2) } else { (1500, 20, 5) };
 
-    // --- solver plans/sec: optimised vs the retained reference ----------
+    // --- solver plans/sec on paper-session inputs vs the reference -----
     // The two sides alternate pass by pass inside one shared window and
-    // accumulate their own elapsed time, so the reference canary is
-    // measured under the same machine weather as the figure it later
-    // normalises. Timing them in separate sequential windows lets a
-    // shared box drift ±30% between the windows, which the regression
-    // gate would misread as a code change.
+    // accumulate their own elapsed time, so both see the same machine
+    // weather. Each pass replays every recorded session in order through
+    // a fresh controller, so no state carries over from earlier passes:
+    // the solver pays what a session pays.
+    let config = ExperimentConfig::quick_test();
+    let catalog = VideoCatalog::paper_default();
+    let videos = [2usize, 6];
+    let mut mpc_config = MpcConfig::paper_default();
+    mpc_config.phone = config.phone;
+    let sessions = {
+        let eval = Evaluation::prepare_videos(config, &catalog, Some(&videos));
+        session_contexts(&eval, config, mpc_config, &videos)
+    };
     let contexts = solver_contexts();
-    let mut ctrl = MpcController::paper_default();
-    for ctx in &contexts {
-        let _ = std::hint::black_box(ctrl.plan(ctx)); // warm (memo + code)
-    }
-    let reference = MpcController::paper_default();
+    let reference = MpcController::new(mpc_config);
+    let ref_canary_pre = canary_plans_per_sec(&reference, &contexts, solver_window_ms);
     let t_window = Instant::now();
     let (mut t_opt, mut t_ref) = (0.0f64, 0.0f64);
     let (mut n, mut n_ref) = (0u64, 0u64);
     let mut pass_speedups: Vec<f64> = Vec::new();
     while t_window.elapsed().as_millis() < 2 * solver_window_ms {
         let t = Instant::now();
-        for ctx in &contexts {
-            let _ = std::hint::black_box(ctrl.plan(ctx));
-            n += 1;
+        for session in &sessions {
+            let mut ctrl = MpcController::new(mpc_config);
+            for ctx in session {
+                let _ = std::hint::black_box(ctrl.plan(ctx));
+                n += 1;
+            }
         }
         let t_opt_pass = t.elapsed().as_secs_f64();
         t_opt += t_opt_pass;
         let t = Instant::now();
-        for ctx in &contexts {
-            let bandwidths = vec![ctx.predicted_bandwidth_bps; 5];
+        for ctx in sessions.iter().flatten() {
+            let bandwidths = vec![ctx.predicted_bandwidth_bps; mpc_config.horizon];
             let _ = std::hint::black_box(solve_reference(&reference, ctx, &bandwidths));
             n_ref += 1;
         }
@@ -146,20 +241,18 @@ fn main() {
     }
     let plans_per_sec = n as f64 / t_opt;
     let ref_plans_per_sec = n_ref as f64 / t_ref;
+    let session_plans: usize = sessions.iter().map(Vec::len).sum();
     // The gate's figure: the 75th-percentile per-alternation speedup
-    // over the reference. Each alternation is sub-millisecond, so both
-    // sides of one sample see the same machine weather; the upper
-    // quartile additionally discounts the passes (and sustained phases)
-    // where a neighbour polluted the cache, which hits the memo-heavy
-    // optimised side much harder than the compute-bound reference and
-    // so only ever drags the speedup *down*.
+    // over the reference. Both sides of one sample share a window of a
+    // few milliseconds; the upper quartile discounts the passes where a
+    // neighbour's burst landed on one side only.
     pass_speedups.sort_by(f64::total_cmp);
     let live_speedup_p75 = pass_speedups
         .get(pass_speedups.len().saturating_mul(3) / 4)
         .copied()
         .unwrap_or(plans_per_sec / ref_plans_per_sec.max(1.0));
     println!(
-        "solver plans/sec:    {plans_per_sec:.0} (reference {ref_plans_per_sec:.0}, seed {SEED_PLANS_PER_SEC:.0}, p75 pass speedup {live_speedup_p75:.1}x)"
+        "solver plans/sec:    {plans_per_sec:.0} over {session_plans} session plans (reference {ref_plans_per_sec:.0}, p75 pass speedup {live_speedup_p75:.2}x)"
     );
 
     // --- robust solver overhead: chance-constrained vs point MPC --------
@@ -168,7 +261,7 @@ fn main() {
     // point slack grow the residual quantile (widening + dual solve),
     // and downside throughput samples arm the bandwidth margin. The
     // budget is overhead < 2x the point solver — at worst the robust
-    // controller runs the memoised core twice per segment.
+    // controller runs the point DP twice per segment.
     let mut robust = RobustMpcController::paper_default();
     for ctx in contexts.iter().cycle().take(2 * contexts.len()) {
         let _ = std::hint::black_box(robust.plan(ctx));
@@ -180,10 +273,8 @@ fn main() {
     // cold robust (zero uncertainty: the passthrough) — so all three see
     // the same machine weather; on shared boxes the clock drifts enough
     // between separate windows to swamp a 2x ratio. The bandwidth is
-    // jittered per pass so every plan is a fresh DP solve on all sides,
-    // the way a session's advancing segment stream behaves; replaying
-    // byte-identical contexts would let the point side coast on hot
-    // state and overstate the ratio.
+    // jittered per pass, the way a session's advancing segment stream
+    // varies its inputs.
     let mut point_paired = MpcController::paper_default();
     let mut robust_cold = RobustMpcController::paper_default();
     for ctx in &contexts {
@@ -302,8 +393,6 @@ fn main() {
     }
 
     // --- single session wall time (video 2, last eval user, Ours) -------
-    let config = ExperimentConfig::quick_test();
-    let catalog = VideoCatalog::paper_default();
     let eval = Evaluation::prepare_videos(config, &catalog, Some(&[2]));
     let user = eval
         .eval_users(2)
@@ -325,7 +414,6 @@ fn main() {
     println!("single session:      {session_ms:.3} ms (seed {SEED_SESSION_MS:.3} ms)");
 
     // --- quick-matrix sweep: prepare + all-scheme matrix over [2, 6] ----
-    let videos = [2usize, 6];
     let sweep = |prepare_threads: usize, matrix_threads: usize| {
         let t = Instant::now();
         let eval =
@@ -380,16 +468,7 @@ fn main() {
     // clock speed drifts within a single run, so the scale that applies
     // to the sweep figures is the one measured next to them. The final
     // scale is the mean of the pre- and post-sweep canaries.
-    let t = Instant::now();
-    let mut n_ref2 = 0u64;
-    while t.elapsed().as_millis() < solver_window_ms {
-        for ctx in &contexts {
-            let bandwidths = vec![ctx.predicted_bandwidth_bps; 5];
-            let _ = std::hint::black_box(solve_reference(&reference, ctx, &bandwidths));
-            n_ref2 += 1;
-        }
-    }
-    let ref_plans_per_sec_post = n_ref2 as f64 / t.elapsed().as_secs_f64();
+    let ref_canary_post = canary_plans_per_sec(&reference, &contexts, solver_window_ms);
     println!("quick sweep @1:      {sweep_1:.2} ms (seed {SEED_SWEEP_MS:.2} ms)");
     println!("quick sweep @{threads}:      {sweep_n:.2} ms");
     println!("hardware threads:    {hw} (pool default {threads})");
@@ -496,9 +575,8 @@ fn main() {
     // The reference solver is the seed algorithm, live-measured: its
     // throughput relative to the pinned figure tells us how fast this
     // machine is right now versus when the seed was pinned.
-    let canary_scale = (ref_plans_per_sec + ref_plans_per_sec_post) / 2.0 / SEED_PLANS_PER_SEC;
+    let canary_scale = (ref_canary_pre + ref_canary_post) / 2.0 / SEED_PLANS_PER_SEC;
     let solver_speedup_live = plans_per_sec / ref_plans_per_sec;
-    let solver_speedup_raw = plans_per_sec / SEED_PLANS_PER_SEC;
     let session_speedup_raw = SEED_SESSION_MS / session_ms;
     // On a machine running at `canary_scale` of seed-measurement speed,
     // the seed code would take `pinned / canary_scale` today — divide,
@@ -528,11 +606,8 @@ fn main() {
         (
             "machine",
             obj(vec![
-                ("canary_plans_per_sec", Json::Num(ref_plans_per_sec)),
-                (
-                    "canary_plans_per_sec_post",
-                    Json::Num(ref_plans_per_sec_post),
-                ),
+                ("canary_plans_per_sec", Json::Num(ref_canary_pre)),
+                ("canary_plans_per_sec_post", Json::Num(ref_canary_post)),
                 ("seed_canary_plans_per_sec", Json::Num(SEED_PLANS_PER_SEC)),
                 ("canary_scale", Json::Num(canary_scale)),
                 ("available_parallelism", Json::Int(hw as i64)),
@@ -542,11 +617,12 @@ fn main() {
         (
             "solver",
             obj(vec![
+                ("protocol", Json::Str(SOLVER_PROTOCOL.to_string())),
+                ("session_plans", Json::Int(session_plans as i64)),
                 ("plans_per_sec", Json::Num(plans_per_sec)),
                 ("reference_plans_per_sec", Json::Num(ref_plans_per_sec)),
                 ("live_speedup_p75", Json::Num(live_speedup_p75)),
                 ("speedup_vs_seed", Json::Num(solver_speedup_live)),
-                ("speedup_vs_seed_raw", Json::Num(solver_speedup_raw)),
             ]),
         ),
         (
@@ -645,13 +721,14 @@ fn main() {
         ),
     ]);
     // --- regression gate (EE360_BENCH_GATE=1) ---------------------------
-    // Compares this run's solver throughput against the checked-in
-    // baseline, both canary-normalised so machine weather cancels out.
-    // The prior file is read before the overwrite and the fresh report
-    // is written regardless, so a failing run still leaves the evidence
-    // on disk; exit code 2 is reserved for a genuine >20% regression
-    // (`scripts/ci.sh` hard-fails on it and stays non-blocking on
-    // everything else).
+    // Compares this run's p75 per-pass solver speedup over the reference
+    // against the checked-in baseline's. Both sides of every pass share
+    // one short window, so the ratio carries its own machine
+    // normalisation. The prior file is read before the overwrite and the
+    // fresh report is written regardless, so a failing run still leaves
+    // the evidence on disk; exit code 2 is reserved for a genuine >20%
+    // regression (`scripts/ci.sh` hard-fails on it and stays
+    // non-blocking on everything else).
     let gate = std::env::var_os("EE360_BENCH_GATE").is_some_and(|v| v == "1");
     let prior = std::fs::read_to_string("BENCH_perf.json")
         .ok()
@@ -662,32 +739,24 @@ fn main() {
     println!("wrote BENCH_perf.json");
 
     if gate {
-        // Gate on the median per-alternation speedup over the seed
-        // reference, scaled back to plans/sec by the pinned seed
-        // figure: both sides of each sample share one sub-millisecond
-        // window, so this number is immune to the box speeding up or
-        // slowing down between (or within) measurement windows. Older
-        // files without the key fall back to the machine canary.
+        // Only a baseline taken with the same replay protocol compares.
         let baseline = prior.as_ref().and_then(|p| {
             let solver = p.get("solver")?;
-            if let Some(m) = solver.get("live_speedup_p75").and_then(|v| v.as_f64()) {
-                return Some(m * SEED_PLANS_PER_SEC);
+            if solver.get("protocol")?.as_str()? != SOLVER_PROTOCOL {
+                return None;
             }
-            let plans = solver.get("plans_per_sec")?.as_f64()?;
-            let scale = p.get("machine")?.get("canary_scale")?.as_f64()?;
-            Some(plans / scale)
+            solver.get("live_speedup_p75")?.as_f64()
         });
         match baseline {
-            Some(old_norm) => {
-                let new_norm = live_speedup_p75 * SEED_PLANS_PER_SEC;
-                let ratio = new_norm / old_norm;
+            Some(old) => {
+                let ratio = live_speedup_p75 / old;
                 println!(
-                    "perf gate:           solver {new_norm:.0}/s vs baseline {old_norm:.0}/s canary-normalised ({:+.1}%)",
+                    "perf gate:           solver {live_speedup_p75:.2}x vs baseline {old:.2}x over the reference ({:+.1}%)",
                     (ratio - 1.0) * 100.0
                 );
                 if ratio < 0.8 {
                     eprintln!(
-                        "PERF GATE FAILURE: solver.plans_per_sec regressed {:.1}% canary-normalised (budget 20%)",
+                        "PERF GATE FAILURE: solver speedup over the reference regressed {:.1}% on session inputs (budget 20%)",
                         (1.0 - ratio) * 100.0
                     );
                     std::process::exit(2);

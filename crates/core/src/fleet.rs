@@ -106,8 +106,8 @@ mod tests {
     const PINNED_CHAOS_REPORT: &str = concat!(
         r#"{"schema":"ee360-obs-report-v1","level":"detail","events_recorded":248,"#,
         r#""events_dropped":0,"spans":{},"metrics":{"counters":{"experiment.sessions":2,"#,
-        r#""mpc.memo_hits":16,"mpc.memo_misses":284,"mpc.plans":60,"#,
-        r#""mpc.states_expanded":43642,"resilience.attempts":62,"resilience.losses":2,"#,
+        r#""mpc.memo_hits":0,"mpc.memo_misses":0,"mpc.plans":60,"#,
+        r#""mpc.states_expanded":8000,"resilience.attempts":62,"resilience.losses":2,"#,
         r#""resilience.retries":2,"resilience.timeouts":2},"#,
         r#""gauges":{"session.segments":30.0},"histograms":{"#,
         r#""energy.decode_mj":{"count":60,"sum":19136.039999999997,"min":301.65,"#,

@@ -47,7 +47,7 @@ impl Default for Config {
             own(&[
                 "sim::fleet::run_scale_fleet",
                 "abr::mpc::MpcController::plan",
-                "abr::mpc::MpcController::solve_with_bandwidths",
+                "abr::mpc::MpcController::solve_horizon",
                 "core::client::run_session",
                 "core::client::run_session_traced",
                 "core::client::run_session_resilient",
@@ -57,7 +57,7 @@ impl Default for Config {
             RuleId::HotPathAlloc.id(),
             own(&[
                 "sim::fleet::ScaleDriver::stream",
-                "abr::mpc::MpcController::solve_with_bandwidths",
+                "abr::mpc::MpcController::solve_horizon",
                 "abr::mpc::MpcController::plan_into",
                 "abr::robust::RobustMpcController::plan_into",
                 "support::parallel::parallel_map_indexed",

@@ -53,11 +53,7 @@ pub enum Event {
         /// Why this plan was produced: `"mpc"`, `"fallback_no_ptile"`,
         /// `"baseline"`, or `"degraded"` (abandon-ladder replan).
         cause: &'static str,
-        /// Memo hits the solver scored while producing this plan.
-        memo_hits: u64,
-        /// Memo misses (full DP solves) while producing this plan.
-        memo_misses: u64,
-        /// DP states expanded while producing this plan.
+        /// `(state, candidate)` pairs the DP evaluated for this plan.
         states_expanded: u64,
     },
     /// One download attempt finished (delivered or failed).
@@ -187,8 +183,6 @@ impl ToJson for Event {
                 fps,
                 bits,
                 cause,
-                memo_hits,
-                memo_misses,
                 states_expanded,
             } => {
                 push(&mut f, "segment", Json::Int(*segment as i64));
@@ -197,8 +191,6 @@ impl ToJson for Event {
                 push(&mut f, "fps", Json::Num(*fps));
                 push(&mut f, "bits", Json::Num(*bits));
                 push(&mut f, "cause", Json::Str((*cause).to_owned()));
-                push(&mut f, "memo_hits", Json::Int(*memo_hits as i64));
-                push(&mut f, "memo_misses", Json::Int(*memo_misses as i64));
                 push(
                     &mut f,
                     "states_expanded",

@@ -135,16 +135,34 @@ if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
     || { echo "fleet artifacts drifted from the committed copies" >&2; exit 1; }
 fi
 
+echo "==> figure and table outputs (blocking: regenerated results/ must match the committed copies)"
+# Every paper figure/table binary reruns at full scale into results/:
+# its text table on stdout, plus any SVG it draws and the robust-matrix
+# JSON. All are seeded and two same-seed runs are byte-identical, so
+# inside a git work tree any drift means a committed copy no longer
+# matches the code.
+for bin in fig2_motivation table1_power_models fig4_qoe_model table2_qoe_fit \
+           fig5_switching_speed fig7_ptile_coverage fig8_size_cdf fig9_energy \
+           fig10_energy_phones fig11_qoe table3_catalog ablations sweep_bandwidth; do
+  cargo run --release --offline -q -p ee360-bench --bin "${bin}" > "results/${bin}.txt"
+done
+cargo run --release --offline -q -p ee360-bench --bin robust_matrix > /dev/null
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  git diff --exit-code -- results/*.txt results/*.svg results/robust_matrix.json \
+    || { echo "figure outputs drifted from the committed copies" >&2; exit 1; }
+fi
+
 echo "==> perf smoke (tracked baseline, quick mode; regression-gated)"
 # Emits BENCH_perf.json (repo root, the one copy) with the solver
-# plans/sec, session and quick-sweep wall times, the per-thread-count
-# scaling rows, their canary-normalised speedups vs the pinned seed
-# figures, and the obs_overhead section (fleet telemetry on vs off).
-# Machine weather stays non-blocking (a loaded CI box must not fail the
-# build), but two things are code regressions the binary signals with
-# exit code 2 — blocking: a canary-normalised solver.plans_per_sec drop
-# of more than 20% vs the checked-in baseline, and fleet telemetry
-# overhead at or above the 10% budget.
+# figures on paper-session inputs, session and quick-sweep wall times,
+# the per-thread-count scaling rows, their canary-normalised speedups vs
+# the pinned seed figures, and the obs_overhead section (fleet telemetry
+# on vs off). Machine weather stays non-blocking (a loaded CI box must
+# not fail the build), but two things are code regressions the binary
+# signals with exit code 2 — blocking: a drop of more than 20% in the
+# p75 per-pass solver speedup over the reference, replaying the
+# quick-test Ours sessions' contexts, vs the checked-in baseline, and
+# fleet telemetry overhead at or above the 10% budget.
 perf_status=0
 EE360_BENCH_QUICK=1 EE360_BENCH_GATE=1 \
   cargo run --release --offline -p ee360-bench --bin perf_baseline || perf_status=$?

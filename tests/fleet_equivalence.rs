@@ -227,8 +227,8 @@ const PINNED_CELL_OUTCOME: &str = concat!(
 const PINNED_CELL_REPORT: &str = concat!(
     r#"{"schema":"ee360-obs-report-v1","level":"detail","events_recorded":264,"#,
     r#""events_dropped":0,"spans":{},"metrics":{"counters":{"experiment.sessions":4,"#,
-    r#""mpc.memo_hits":44,"mpc.memo_misses":256,"mpc.plans":60,"#,
-    r#""mpc.states_expanded":44060,"resilience.attempts":68,"resilience.corruptions":4,"#,
+    r#""mpc.memo_hits":0,"mpc.memo_misses":0,"mpc.plans":60,"#,
+    r#""mpc.states_expanded":12400,"resilience.attempts":68,"resilience.corruptions":4,"#,
     r#""resilience.decoder_failures":4,"resilience.losses":4,"resilience.retries":8,"#,
     r#""resilience.timeouts":4},"gauges":{"session.segments":15.0},"histograms":{"#,
     r#""energy.decode_mj":{"count":60,"sum":19028.75999999999,"min":301.65,"#,

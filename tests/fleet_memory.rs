@@ -9,7 +9,9 @@
 //! fails loudly.
 //!
 //! A third gate does the same for one paper session: on a very long gaze
-//! trace its per-segment phases must not touch trace-sized memory.
+//! trace its per-segment phases must not touch trace-sized memory. A
+//! fourth holds the MPC solver to a fixed footprint: planning thousands
+//! of distinct contexts must not grow the controller's live heap.
 //!
 //! The allocator counts every thread's heap in one process-wide peak, so
 //! the budget tests take [`BUDGET_LOCK`] and run one at a time: each
@@ -17,7 +19,9 @@
 
 use std::sync::{Mutex, PoisonError};
 
-use ee360_abr::controller::Scheme;
+use ee360_abr::controller::{Controller, Scheme};
+use ee360_abr::mpc::MpcController;
+use ee360_abr::plan::{PlanBuffers, SegmentContext};
 use ee360_cluster::ptile::PtileConfig;
 use ee360_core::client::{make_controller, SessionRunner, SessionSetup};
 use ee360_core::server::VideoServer;
@@ -32,6 +36,7 @@ use ee360_trace::fault::{FaultConfig, FaultPlan};
 use ee360_trace::head::{GazeConfig, HeadTrace};
 use ee360_trace::network::NetworkTrace;
 use ee360_video::catalog::VideoCatalog;
+use ee360_video::content::SiTi;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -175,4 +180,46 @@ fn session_segments_do_not_touch_the_whole_gaze_trace() {
              {SESSION_SEGMENT_BUDGET_BYTES} B budget (the gaze trace is {trace_bytes} B)"
         );
     }
+}
+
+/// Distinct-bandwidth plans the solver footprint test runs.
+const SOLVER_PLANS: usize = 5_000;
+/// Live-heap growth those plans may leave behind: the solver's scratch
+/// is sized by the first plan, so anything that keeps per-plan state
+/// (a cache keyed on the bandwidth, say) outgrows this within a few
+/// hundred plans.
+const SOLVER_GROWTH_BUDGET_BYTES: usize = 4 * 1024;
+
+#[test]
+fn solver_footprint_stays_flat_across_distinct_plans() {
+    let _serial = BUDGET_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut controller = MpcController::paper_default();
+    let mut buffers = PlanBuffers::new();
+    let mut ctx = SegmentContext {
+        index: 0,
+        upcoming: (0..5).map(|i| SiTi::new(50.0 + i as f64, 20.0)).collect(),
+        predicted_bandwidth_bps: 1.0e6,
+        buffer_sec: 1.5,
+        switching_speed_deg_s: 8.0,
+        ptile_available: true,
+        ptile_area_frac: 9.0 / 32.0,
+        background_blocks: 3,
+        ftile_fov_area: 0.0,
+        ftile_fov_tiles: 0,
+    };
+    let _ = controller.plan_into(&ctx, &mut buffers); // sizes the scratch
+    let before = ALLOC.live_bytes();
+    for k in 1..=SOLVER_PLANS {
+        ctx.index = k;
+        ctx.predicted_bandwidth_bps = 1.0e6 + k as f64 * 1.7e3;
+        let _ = std::hint::black_box(controller.plan_into(&ctx, &mut buffers));
+    }
+    let grown = ALLOC.live_bytes().saturating_sub(before);
+    let stats = controller.solver_stats().expect("mpc meters its solver");
+    assert_eq!(stats.plans, SOLVER_PLANS as u64 + 1, "every plan solved");
+    assert!(
+        grown <= SOLVER_GROWTH_BUDGET_BYTES,
+        "{SOLVER_PLANS} distinct plans grew the live heap by {grown} B, over the \
+         {SOLVER_GROWTH_BUDGET_BYTES} B budget"
+    );
 }

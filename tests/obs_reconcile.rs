@@ -188,7 +188,7 @@ fn live_recorder_does_not_perturb_the_session() {
 
 /// The MPC solver's work counters surface in the registry: the `Ours`
 /// scheme plans via the DP solver, so `mpc.plans` must be positive and
-/// memo traffic must account for every candidate-set lookup.
+/// every solve expands at least one `(state, candidate)` pair.
 #[test]
 fn mpc_solver_stats_surface_in_the_registry() {
     let mut rec = Recorder::new(Level::Summary);
@@ -200,12 +200,8 @@ fn mpc_solver_stats_surface_in_the_registry() {
         "at most one solve per planned segment"
     );
     assert!(
-        reg.counter("mpc.states_expanded") > 0,
-        "DP solves expand states"
-    );
-    assert!(
-        reg.counter("mpc.memo_hits") + reg.counter("mpc.memo_misses") > 0,
-        "every solve touches the candidate memo"
+        reg.counter("mpc.states_expanded") >= reg.counter("mpc.plans"),
+        "every solve expands at least its start state"
     );
 }
 
